@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success/pass, 1 counterexample or validation failure,
-2 usage or parse error.
+Exit codes: 0 success/pass, 1 counterexample, validation failure or
+internal inconsistency (two characterizations the library checks against
+each other disagreed), 2 usage or parse error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .classify import classify
+from .classify import InternalInconsistencyError, classify
 from .construct import direct_product, quotient, IllDefinedQuotientError
 from .core import validate_krasner
 from .corpus import builtin_corpus
@@ -213,6 +214,9 @@ def main(argv=None):
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except InternalInconsistencyError as e:
+        print(f"error: internal inconsistency: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -90,10 +90,6 @@ def product_pack(r2, i, j):
     return i * r2.size + j
 
 
-def product_split(r2, e):
-    return divmod(e, r2.size)
-
-
 def product_ideal(ring, r1, r2, m1, m2, strict=True):
     """The ideal I1 x I2 inside a direct product built from r1, r2."""
     members = frozenset(product_pack(r2, a, b) for a in m1 for b in m2)

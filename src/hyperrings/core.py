@@ -4,12 +4,24 @@ A structure is a finite carrier together with an m-ary hyperoperation f
 (set-valued, the "addition") and an n-ary single-valued operation g (the
 "multiplication"), a zero that is the scalar neutral of f and absorbing
 for g, and a scalar identity for g.  Everything here works on explicit
-tables; carriers are tiny, so validators simply enumerate.
+tables, and every axiom is certified by a scan over all tuples.
+
+For the costly axioms (associativity of f and g, distributivity) a
+validation call first lays both tables out flat, in `itertools.product`
+order: `F` holds each f-value as an int bitmask of its members, `G` each
+g-value as an int.  The last argument then varies fastest, so the values
+over it form a contiguous row, and the scans compare whole rows (lists of
+masks or elements) instead of single entries.  A row that differs is
+expanded entry by entry only to report its violations, which come out in
+the same order and with the same text as an entry-by-entry scan.  The
+flat tables and the per-call memos live only for one validation call.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 
 class ArityError(ValueError):
@@ -200,6 +212,68 @@ def g_product(ring, elems):
 
 # -- validators -----------------------------------------------------------
 
+def _digits(size, i, length):
+    """The tuple of the given length at position i of
+    itertools.product(range(size), repeat=length)."""
+    t = []
+    for _ in range(length):
+        i, x = divmod(i, size)
+        t.append(x)
+    return tuple(reversed(t))
+
+
+def _members(mask):
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def _mask_label(ring, mask):
+    return ring.subset_label(_members(mask))
+
+
+def _f_masks(ring):
+    """F: each f-value as a bitmask, flat in itertools.product order."""
+    f = ring.f
+    return [sum(1 << x for x in f[t])
+            for t in itertools.product(range(ring.size), repeat=ring.m)]
+
+
+def _g_values(ring):
+    """G: the g-values, flat in itertools.product order."""
+    return list(map(ring.g.__getitem__,
+                    itertools.product(range(ring.size), repeat=ring.n)))
+
+
+def _rows(table, size):
+    """A flat table cut into rows over its last argument."""
+    return [table[k:k + size] for k in range(0, len(table), size)]
+
+
+def _cuts(size, arity):
+    """Flat-index arithmetic for the nesting cuts before the last one.
+
+    Over (2k-2)-prefixes p of a k-ary table, the inner tuple of cut c is
+    p[c:c + k], at position p // stride % window; the outer tuple with t in
+    place of the inner one is the row p[:c] + (t,) + p[c + k:], at
+    p // high * size * stride + t * stride + p % stride.
+    """
+    return [(size ** (arity - 2 - cut), size ** arity, size ** (2 * arity - 2 - cut))
+            for cut in range(arity - 1)]
+
+
+def _report_rows(ring, axiom, prefix, arity, rows, render, out):
+    """Violations of one prefix block: rows[cut][z] is the value nested at
+    `cut` for the arguments prefix + (z,), prefix a flat (2k-2)-tuple index."""
+    args = _digits(ring.size, prefix, 2 * arity - 2)
+    base = rows[0]
+    for z in range(ring.size):
+        for cut in range(1, len(rows)):
+            if rows[cut][z] != base[z]:
+                out.append(Violation(
+                    axiom,
+                    f"args=({ring.tuple_label(args + (z,))}) nest 0 vs nest {cut}",
+                    render(base[z]), render(rows[cut][z])))
+
+
 def _check_f_entries(ring, out):
     ok = True
     for t in itertools.product(range(ring.size), repeat=ring.m):
@@ -219,29 +293,36 @@ def _check_commutative(ring, table, arity, axiom, render, out):
                 render(table[st]), render(table[t])))
 
 
-def _check_f_associativity(ring, out):
-    # compare every nesting position against the leftmost one, over all
-    # (2m-1)-tuples; O(|R|^(2m-1)) per position pair, fine at desk scale
-    m = ring.m
-    f = ring.f
-    rng = range(ring.size)
-
-    def nested(args, cut):
-        inner = f[args[cut:cut + m]]
-        outer = set()
-        for t in inner:
-            outer |= f[args[:cut] + (t,) + args[cut + m:]]
-        return frozenset(outer)
-
-    for args in itertools.product(rng, repeat=2 * m - 1):
-        base = nested(args, 0)
-        for cut in range(1, m):
-            other = nested(args, cut)
-            if other != base:
-                out.append(Violation(
-                    "f-associativity",
-                    f"args=({ring.tuple_label(args)}) nest 0 vs nest {cut}",
-                    ring.subset_label(base), ring.subset_label(other)))
+def _check_f_associativity(ring, F, out):
+    # Every nesting position is compared against the leftmost one over all
+    # (2m-1)-tuples, one row over the last argument per (2m-2)-prefix.  For
+    # a cut before the last the inner f-value is fixed by the prefix, so the
+    # row is the union of the F-rows its members select.  At the last cut
+    # the inner value runs along the row, and each of its masks is extended
+    # through the prefix's first m-1 arguments by a table that only lives
+    # for that prefix block.
+    s = ring.size
+    rows = _rows(F, s)
+    members = {mask: _members(mask) for mask in set(F)}
+    cuts = _cuts(s, ring.m)
+    width = len(rows)
+    for head, head_row in enumerate(rows):
+        extend = {mask: reduce(or_, map(head_row.__getitem__, ms), 0)
+                  for mask, ms in members.items()}
+        for tail, tail_row in enumerate(rows):
+            prefix = head * width + tail
+            nested = []
+            for stride, window, high in cuts:
+                base = prefix // high * s * stride + prefix % stride
+                first, *rest = members[F[prefix // stride % window]]
+                row = rows[base + first * stride]
+                for t in rest:
+                    row = list(map(or_, row, rows[base + t * stride]))
+                nested.append(row)
+            nested.append(list(map(extend.__getitem__, tail_row)))
+            if nested.count(nested[0]) != len(nested):
+                _report_rows(ring, "f-associativity", prefix, ring.m, nested,
+                             lambda mask: _mask_label(ring, mask), out)
 
 
 def _check_zero_neutral(ring, out):
@@ -291,46 +372,86 @@ def validate_canonical_hypergroup(ring):
     Failures are reported, never raised.
     """
     out = []
+    _check_canonical_hypergroup(ring, _f_masks(ring), out)
+    return ValidationReport(not out, out)
+
+
+def _check_canonical_hypergroup(ring, F, out):
     entries_ok = _check_f_entries(ring, out)
     _check_commutative(ring, ring.f, ring.m, "f-commutativity", ring.subset_label, out)
     if entries_ok:
-        _check_f_associativity(ring, out)
+        _check_f_associativity(ring, F, out)
     _check_zero_neutral(ring, out)
     inverses_ok = _check_inverses(ring, out)
     if entries_ok and inverses_ok:
         _check_reversibility(ring, out)
-    return ValidationReport(not out, out)
 
 
-def _check_g_associativity(ring, out):
-    n = ring.n
-    g = ring.g
-    for args in itertools.product(range(ring.size), repeat=2 * n - 1):
-        base = g[(g[args[:n]],) + args[n:]]
-        for cut in range(1, n):
-            other = g[args[:cut] + (g[args[cut:cut + n]],) + args[cut + n:]]
-            if other != base:
-                out.append(Violation(
-                    "g-associativity",
-                    f"args=({ring.tuple_label(args)}) nest 0 vs nest {cut}",
-                    ring.label(base), ring.label(other)))
+def _check_g_associativity(ring, G, out):
+    # as for f, one row over the last argument per (2n-2)-prefix: before
+    # the last cut the row is a row of G, at the last cut it is the
+    # prefix's head row looked up along a row of G
+    s = ring.size
+    rows = _rows(G, s)
+    cuts = _cuts(s, ring.n)
+    width = len(rows)
+    for head, head_row in enumerate(rows):
+        for tail, tail_row in enumerate(rows):
+            prefix = head * width + tail
+            nested = [rows[prefix // high * s * stride
+                           + G[prefix // stride % window] * stride
+                           + prefix % stride]
+                      for stride, window, high in cuts]
+            nested.append(list(map(head_row.__getitem__, tail_row)))
+            if nested.count(nested[0]) != len(nested):
+                _report_rows(ring, "g-associativity", prefix, ring.n, nested,
+                             ring.label, out)
 
 
-def _check_distributivity(ring, out):
-    m, n = ring.m, ring.n
-    f, g = ring.f, ring.g
-    rng = range(ring.size)
+def _distributivity_failures(phi, rows, members, m, s):
+    """(xs position, phi applied to f(xs), f(phi(xs))) for every m-tuple xs
+    where multiplication by phi does not distribute, as bitmasks.  Both
+    sides are built one row over the last argument at a time."""
+    bit = [1 << y for y in phi]
+    image = {mask: reduce(or_, map(bit.__getitem__, ms), 0)
+             for mask, ms in members.items()}
+    lifted = phi
+    for _ in range(m - 2):
+        lifted = [k * s + y for k in lifted for y in phi]
+    found = []
+    for head, (row, target) in enumerate(zip(rows, lifted)):
+        left = list(map(image.__getitem__, row))
+        right = list(map(rows[target].__getitem__, phi))
+        if left != right:
+            found += [(head * s + z, a, b)
+                      for z, (a, b) in enumerate(zip(left, right)) if a != b]
+    return found
+
+
+def _check_distributivity(ring, F, G, out):
+    # For each position i and ambient, phi(x) = g(ambient with x at i) is a
+    # slice of G with the stride of position i.  Whether phi distributes
+    # over f depends on phi alone, and many ambients share one phi (both
+    # positions of a commutative g, say), so the failures are memoised per
+    # phi.
+    m, n, s = ring.m, ring.n, ring.size
+    rows = _rows(F, s)
+    members = {mask: _members(mask) for mask in set(F)}
+    failures = {}
     for i in range(n):
-        for amb in itertools.product(rng, repeat=n - 1):
-            for xs in itertools.product(rng, repeat=m):
-                left = frozenset(g[amb[:i] + (t,) + amb[i:]] for t in f[xs])
-                right = f[tuple(g[amb[:i] + (x,) + amb[i:]] for x in xs)]
-                if left != right:
-                    out.append(Violation(
-                        "distributivity",
-                        f"g(pos {i + 1}; ambient={ring.tuple_label(amb)}; "
-                        f"f({ring.tuple_label(xs)}))",
-                        ring.subset_label(right), ring.subset_label(left)))
+        stride = s ** (n - 1 - i)
+        for amb in range(s ** (n - 1)):
+            base = amb // stride * stride * s + amb % stride
+            phi = tuple(G[base:base + s * stride:stride])
+            found = failures.get(phi)
+            if found is None:
+                found = failures[phi] = _distributivity_failures(phi, rows, members, m, s)
+            for j, left, right in found:
+                out.append(Violation(
+                    "distributivity",
+                    f"g(pos {i + 1}; ambient={ring.tuple_label(_digits(s, amb, n - 1))}; "
+                    f"f({ring.tuple_label(_digits(s, j, m))}))",
+                    _mask_label(ring, right), _mask_label(ring, left)))
 
 
 def _check_zero_absorbing(ring, out):
@@ -360,11 +481,12 @@ def _check_scalar_identity(ring, out):
 def validate_krasner(ring):
     """Full axiom check: canonical hypergroup, n-ary semigroup with
     commutative g, distributivity, absorbing zero, scalar identity."""
-    report = validate_canonical_hypergroup(ring)
-    out = report.violations
+    F, G = _f_masks(ring), _g_values(ring)
+    out = []
+    _check_canonical_hypergroup(ring, F, out)
     _check_commutative(ring, ring.g, ring.n, "g-commutativity", ring.label, out)
-    _check_g_associativity(ring, out)
-    _check_distributivity(ring, out)
+    _check_g_associativity(ring, G, out)
+    _check_distributivity(ring, F, G, out)
     _check_zero_absorbing(ring, out)
     _check_scalar_identity(ring, out)
     return ValidationReport(not out, out)

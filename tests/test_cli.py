@@ -1,5 +1,7 @@
 import pytest
 
+from hyperrings import cli
+from hyperrings.classify import InternalInconsistencyError
 from hyperrings.cli import main
 from hyperrings.corpus import document_text
 
@@ -112,6 +114,18 @@ class TestClassify:
                            "--ideal", "0,1,2,3,4,6")
         assert code == 2
         assert "improper" in err
+
+    def test_internal_inconsistency_is_an_error_not_a_traceback(
+            self, docs, capsys, monkeypatch):
+        def inconsistent(ideal, k_max):
+            raise InternalInconsistencyError("sq_primary holds but q_primary fails")
+        monkeypatch.setattr(cli, "classify", inconsistent)
+        code, out, err = run(capsys, "classify", str(docs / "g.json"),
+                             "--ideal", "0,4")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: internal inconsistency: "
+                       "sq_primary holds but q_primary fails\n")
 
 
 class TestProductAndQuotient:
