@@ -28,8 +28,7 @@ def _require_proper(ideal):
 
 
 def _squares(ring):
-    pad = (ring.one,) * (ring.n - 2)
-    return [ring.g[(x, x) + pad] for x in ring.carrier]
+    return [g_product(ring, (x, x)) for x in ring.carrier]
 
 
 def _drop(ring, t, i):
@@ -38,10 +37,6 @@ def _drop(ring, t, i):
 
 
 # -- n-tuple predicates ----------------------------------------------------
-
-def _prime_eval(ring, members):
-    return _is_prime_set(ring, members)
-
 
 def _weakly_prime_eval(ring, members):
     g, zero = ring.g, ring.zero
@@ -108,12 +103,7 @@ def _iter_qualifying(ring, members, length, sorted_only=False):
         return
     if sorted_only and ring.commutative_g:
         for t in itertools.combinations_with_replacement(outside, length):
-            acc = g[t[:n]]
-            pos = n
-            while pos < length:
-                acc = g[(acc,) + t[pos:pos + n - 1]]
-                pos += n - 1
-            if acc in members:
+            if g_product(ring, t) in members:
                 yield t
         return
     steps = (length - n) // (n - 1)
@@ -138,14 +128,17 @@ def _iter_qualifying(ring, members, length, sorted_only=False):
             yield from extend(first, acc, steps)
 
 
-def _kn_absorbing_eval(ring, members, k):
+def _kn_absorbing_eval(ring, members, target, k):
+    """Every qualifying tuple of the ideal has some small-subset product
+    in target: the ideal itself for (k,n)-absorbing, its radical for the
+    tuple characterization of (k,n)-absorbing q-primary."""
     length = k * (ring.n - 1) + 1
     small = (k - 1) * (ring.n - 1) + 1
     subsets = list(itertools.combinations(range(length), small))
     # the per-tuple condition is permutation-invariant, so sorted tuples
     # suffice on a commutative g
     for t in _iter_qualifying(ring, members, length, sorted_only=True):
-        if not any(g_product(ring, [t[i] for i in s]) in members for s in subsets):
+        if not any(g_product(ring, [t[i] for i in s]) in target for s in subsets):
             return False, t
     return True, None
 
@@ -163,23 +156,11 @@ def _kn_absorbing_primary_eval(ring, members, rad, k):
     return True, None
 
 
-def _kn_absorbing_tuple_condition(ring, members, rad, k):
-    """The tuple-level characterization: every qualifying product forces
-    some small-subset product into the radical."""
-    length = k * (ring.n - 1) + 1
-    small = (k - 1) * (ring.n - 1) + 1
-    subsets = list(itertools.combinations(range(length), small))
-    for t in _iter_qualifying(ring, members, length, sorted_only=True):
-        if not any(g_product(ring, [t[i] for i in s]) in rad for s in subsets):
-            return False, t
-    return True, None
-
-
 # -- cached per-(ring, members) evaluators ------------------------------------
 
 @lru_cache(maxsize=None)
 def _prime_cached(ring, members):
-    return _prime_eval(ring, members)
+    return _is_prime_set(ring, members)
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +191,20 @@ def _q_primary_cached(ring, members):
 
 @lru_cache(maxsize=None)
 def _kn_absorbing_cached(ring, members, k):
-    return _kn_absorbing_eval(ring, members, k)
+    return _kn_absorbing_eval(ring, members, members, k)
+
+
+@lru_cache(maxsize=None)
+def _kn_absorbing_q_primary_cached(ring, members, k):
+    """Both characterizations of (k,n)-absorbing q-primary as (ok, witness)
+    pairs: the radical is (k,n)-absorbing, and the tuple condition on the
+    ideal with the radical as target.  None when the radical is improper,
+    since an absorbing hyperideal is proper by definition."""
+    rad = radical_by_primes(ring, members)
+    if len(rad) == ring.size:
+        return None
+    return (_kn_absorbing_cached(ring, rad, k),
+            _kn_absorbing_eval(ring, members, rad, k))
 
 
 @lru_cache(maxsize=None)
@@ -273,29 +267,32 @@ def is_kn_absorbing_primary(ideal, k):
     return _kn_absorbing_primary_cached(ideal.ring, ideal.members, k)[0]
 
 
+def _kn_absorbing_q_primary(ideal, k):
+    """(ok, witness) of the radical characterization, once both
+    characterizations are found to agree; a disagreement raises (it would
+    mean a bug, not mathematics)."""
+    both = _kn_absorbing_q_primary_cached(ideal.ring, ideal.members, k)
+    if both is None:
+        return False, "radical is improper"
+    direct, via_tuples = both
+    if direct[0] != via_tuples[0]:
+        raise InternalInconsistencyError(
+            f"absorbing q-primary characterizations disagree on "
+            f"{ideal.render()} (k={k}): radical={direct[0]} tuples={via_tuples[0]}")
+    return direct
+
+
 def is_kn_absorbing_q_primary(ideal, k):
     """Radical is a (k,n)-absorbing hyperideal.
 
     Evaluated both directly on the radical and through the equivalent
-    tuple-level condition on the ideal itself; the two must agree, and a
-    disagreement raises (it would mean a bug, not mathematics).  When the
-    radical is improper the comparison is skipped and the answer is False,
-    since an absorbing hyperideal is proper by definition.
+    tuple-level condition on the ideal itself; the two must agree.  When
+    the radical is improper the answer is False.
     """
     _require_proper(ideal)
     if k < 1:
         raise ValueError("k must be positive")
-    ring = ideal.ring
-    rad = radical_by_primes(ring, ideal)
-    if len(rad) == ring.size:
-        return False
-    direct = _kn_absorbing_cached(ring, rad, k)[0]
-    via_tuples = _kn_absorbing_tuple_condition(ring, ideal.members, rad, k)[0]
-    if direct != via_tuples:
-        raise InternalInconsistencyError(
-            f"absorbing q-primary characterizations disagree on "
-            f"{ideal.render()} (k={k}): radical={direct} tuples={via_tuples}")
-    return direct
+    return _kn_absorbing_q_primary(ideal, k)[0]
 
 
 def is_sq_primary(ideal):
@@ -349,8 +346,6 @@ def classify(ideal, k_max=2):
 def _classify_cached(ideal, k_max):
     ring = ideal.ring
     members = ideal.members
-    rad = radical_by_primes(ring, members)
-    rad_proper = len(rad) < ring.size
     outcomes = {}
     witnesses = {}
 
@@ -372,16 +367,7 @@ def _classify_cached(ideal, k_max):
         record(f"absorbing_k{k}", *_kn_absorbing_cached(ring, members, k))
         record(f"absorbing_primary_k{k}",
                *_kn_absorbing_primary_cached(ring, members, k))
-        if rad_proper:
-            record(f"absorbing_q_primary_k{k}", *_kn_absorbing_cached(ring, rad, k))
-            other = _kn_absorbing_tuple_condition(ring, members, rad, k)[0]
-            if outcomes[f"absorbing_q_primary_k{k}"] != other:
-                raise InternalInconsistencyError(
-                    f"absorbing q-primary characterizations disagree on "
-                    f"{ideal.render()} (k={k})")
-        else:
-            outcomes[f"absorbing_q_primary_k{k}"] = False
-            witnesses[f"absorbing_q_primary_k{k}"] = "radical is improper"
+        record(f"absorbing_q_primary_k{k}", *_kn_absorbing_q_primary(ideal, k))
 
     # the implication chain is a theorem about valid structures; it is not
     # asserted for deviant subsets or known-deviant ambient tables

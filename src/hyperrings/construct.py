@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .core import (ArityError, HyperringTable, ValidationReport, Violation,
                    f_extend, validate_krasner)
-from .ideals import Hyperideal, make_hyperideal
+from .ideals import Hyperideal, closed_sets, make_hyperideal
 
 
 class IllDefinedQuotientError(ValueError):
@@ -269,21 +269,8 @@ def _subring_closure(ring, seed):
 
 @lru_cache(maxsize=None)
 def enumerate_subhyperrings(ring):
-    """All subhyperrings, via singleton closures plus joins."""
-    found = {_subring_closure(ring, frozenset([x])) for x in ring.carrier}
-    found.add(frozenset([ring.zero]))
-    while True:
-        fresh = set()
-        for a, b in itertools.combinations(found, 2):
-            if a <= b or b <= a:
-                continue
-            j = _subring_closure(ring, a | b)
-            if j not in found:
-                fresh.add(j)
-        if not fresh:
-            break
-        found |= fresh
-    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+    """All subhyperrings: the closed sets of the subhyperring closure."""
+    return closed_sets(ring, _subring_closure)
 
 
 def scalar_identity_in(ring, members):

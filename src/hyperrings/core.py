@@ -61,8 +61,9 @@ class HyperringTable:
     f maps every ordered m-tuple of element indices to a frozenset of
     indices; g maps every ordered n-tuple to a single index.  Tables are
     total.  Instances are treated as immutable after construction and are
-    hashed by identity, which lets expensive derived data (ideal lattices,
-    radicals) be memoised on the instance.
+    hashed by identity, which is what the module-level `lru_cache`s of
+    derived data (ideal lattices, radicals, classifications) key on; those
+    caches keep every table they see alive for the life of the process.
     """
 
     def __init__(self, name, m, n, labels, zero, one, f, g,
@@ -171,43 +172,37 @@ def g_iterated(ring, args):
     k = len(args)
     if k < n or (k - 1) % (n - 1) != 0:
         raise ArityError(f"g_iterated needs l(n-1)+1 arguments for n={n}, got {k}")
-    g = ring.g
-    acc = g[tuple(args[:n])]
-    pos = n
-    while pos < k:
-        acc = g[(acc,) + tuple(args[pos:pos + n - 1])]
-        pos += n - 1
-    return acc
+    return g_product(ring, args)
 
 
 def g_power(ring, a, s):
-    """s-th g-power of a, identity-padded to a representable arity.
-
-    For s <= n this is g(a^(s), 1^(n-s)); for larger s the argument list
-    a^(s) is padded with the scalar identity up to the next length of the
-    form l(n-1)+1, which is value-neutral under the identity axiom.
-    """
+    """s-th g-power of a: the g-product of a^(s), identity-padded."""
     if s < 1:
         raise ValueError("power count must be >= 1")
-    n = ring.n
-    if s <= n:
-        return g_eval(ring, (a,) * s + (ring.one,) * (n - s))
-    rem = (s - 1) % (n - 1)
-    pad = 0 if rem == 0 else (n - 1) - rem
-    return g_iterated(ring, (a,) * s + (ring.one,) * pad)
+    return g_product(ring, (a,) * s)
 
 
 def g_product(ring, elems):
-    """g-product of an arbitrary non-empty argument list, identity-padded."""
+    """Left-nested fold of g over a non-empty argument list.
+
+    The list is padded with the scalar identity up to the next length of
+    the form l(n-1)+1 with l >= 1, which is value-neutral under the
+    identity axiom: g(a^(s), 1^(n-s)) for s <= n.
+    """
     elems = tuple(elems)
-    if not elems:
+    k = len(elems)
+    if not k:
         raise ValueError("empty product")
-    n = ring.n
-    if len(elems) < n:
-        return g_eval(ring, elems + (ring.one,) * (n - len(elems)))
-    rem = (len(elems) - 1) % (n - 1)
-    pad = 0 if rem == 0 else (n - 1) - rem
-    return g_iterated(ring, elems + (ring.one,) * pad)
+    n, g = ring.n, ring.g
+    if k <= n:
+        return g[elems + (ring.one,) * (n - k)]
+    elems += (ring.one,) * (-(k - 1) % (n - 1))
+    acc = g[elems[:n]]
+    pos = n
+    while pos < len(elems):
+        acc = g[(acc,) + elems[pos:pos + n - 1]]
+        pos += n - 1
+    return acc
 
 
 # -- validators -----------------------------------------------------------

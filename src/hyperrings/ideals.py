@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import ArityError, g_power
+from .core import ArityError, g_power, g_product
 
 
 class ImproperIdealError(ValueError):
@@ -126,29 +126,37 @@ def _canonical_order(sets):
     return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-@lru_cache(maxsize=None)
-def enumerate_hyperideals(ring):
-    """All hyperideals, R included, via closure-based search.
+def closed_sets(ring, closure):
+    """Every set closed under a closure operator on the carrier.
 
-    Every hyperideal is the join of the principal ideals of its elements,
-    so closing the principal ideals under binary join (closure of union)
-    yields the whole lattice.  Verified against the 2^|R| brute-force
-    filter for small carriers in the test suite.
+    Each closed set is the join (closure of the union) of the closures of
+    its elements, so closing the singleton closures and {0} under binary
+    joins yields the whole lattice, in canonical order.
     """
-    found = {ideal_closure(ring, frozenset([x])) for x in ring.carrier}
+    found = {closure(ring, frozenset([x])) for x in ring.carrier}
     found.add(frozenset([ring.zero]))
     while True:
         fresh = set()
         for a, b in itertools.combinations(found, 2):
             if a <= b or b <= a:
                 continue
-            j = ideal_closure(ring, a | b)
+            j = closure(ring, a | b)
             if j not in found:
                 fresh.add(j)
         if not fresh:
             break
         found |= fresh
-    return [Hyperideal(ring, s, True) for s in _canonical_order(found)]
+    return _canonical_order(found)
+
+
+@lru_cache(maxsize=None)
+def enumerate_hyperideals(ring):
+    """All hyperideals, R included: the closed sets of ideal_closure.
+
+    Verified against the 2^|R| brute-force filter for small carriers in
+    the test suite.
+    """
+    return [Hyperideal(ring, s, True) for s in closed_sets(ring, ideal_closure)]
 
 
 def proper_hyperideals(ring):
@@ -250,8 +258,7 @@ class GeneratedIdeal:
 
 
 def generated_by(ring, x):
-    pad = (ring.one,) * (ring.n - 2)
-    raw = frozenset(ring.g[(r, x) + pad] for r in ring.carrier)
+    raw = frozenset(g_product(ring, (r, x)) for r in ring.carrier)
     ok = is_hyperideal(ring, raw)
     closed = raw if ok else ideal_closure(ring, raw)
     return GeneratedIdeal(raw, ok, Hyperideal(ring, closed, True))
@@ -269,9 +276,9 @@ class IdealSetPair:
 
 def quotient_sets(ring, ideal, r):
     members = _members_of(ideal)
-    pad = (ring.one,) * (ring.n - 2)
-    p_r = frozenset(a for a in ring.carrier if ring.g[(r, a) + pad] in members)
-    a_r = frozenset(a for a in ring.carrier if ring.g[(r, a) + pad] == ring.zero)
+    products = [g_product(ring, (r, a)) for a in ring.carrier]
+    p_r = frozenset(a for a, v in enumerate(products) if v in members)
+    a_r = frozenset(a for a, v in enumerate(products) if v == ring.zero)
     return IdealSetPair(r, p_r, a_r, is_hyperideal(ring, p_r))
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .classify import (_kn_absorbing_cached, _kn_absorbing_tuple_condition,
-                       classify, is_kn_absorbing_primary,
+from .classify import (_kn_absorbing_cached, _kn_absorbing_q_primary_cached,
+                       _squares, classify, is_kn_absorbing_primary,
                        is_kn_absorbing_q_primary, is_q_primary, is_sq_primary,
                        is_weakly_prime, is_weakly_primary, is_wsq_primary)
 
@@ -24,7 +24,7 @@ from .construct import (Homomorphism, direct_product,
                         enumerate_subhyperrings, image_ideal,
                         preimage_ideal, product_ideal, product_pack,
                         quotient, subhyperring_table)
-from .core import validate_krasner
+from .core import g_product, validate_krasner
 from .ideals import (Hyperideal, enumerate_hyperideals, hyperideal_product,
                      generated_by, make_hyperideal, proper_hyperideals,
                      quotient_sets, radical_by_primes, radical_by_powers)
@@ -81,24 +81,12 @@ class _Harness:
 
     # -- shared pools -----------------------------------------------------
 
-    def proper(self, ring):
-        return proper_hyperideals(ring)
-
-    def wsq(self, ring, ideal):
-        return is_wsq_primary(ideal)
-
-    def sq(self, ring, ideal):
-        return is_sq_primary(ideal)
-
-    def q(self, ring, ideal):
-        return is_q_primary(ideal)
-
     def _product_worthy(self):
         # theorem hypotheses presuppose a nonzero scalar identity and the
         # full axiom set, so the trivial structure and known-deviant corpus
         # members stay out of the product construction pool
         return [r for r in self.structures
-                if r.size > 1 and (r.validation is None or r.validation.passed)]
+                if r.size > 1 and r.validation.passed]
 
     @property
     def pairs(self):
@@ -124,7 +112,7 @@ class _Harness:
     def quotients(self, ring):
         """(Q, quotient table, projection) for every proper hyperideal Q."""
         out = []
-        for qid in self.proper(ring):
+        for qid in proper_hyperideals(ring):
             table, proj = quotient(ring, qid)
             out.append((qid, table, proj))
         return out
@@ -151,9 +139,9 @@ def _fail(report, ring, detail):
 
 def _check_2_3(h, report):
     for r1, r2, rp in h.pairs:
-        for p in h.proper(rp):
+        for p in proper_hyperideals(rp):
             report.instances += 1
-            lhs = h.q(rp, p)
+            lhs = is_q_primary(p)
             rhs = _product_form_q(h, r1, r2, rp, p)
             if lhs != rhs:
                 _fail(report, rp,
@@ -177,9 +165,9 @@ def _product_form_q(h, r1, r2, rp, p):
         return False
     m1, m2 = split
     if len(m2) == r2.size and len(m1) < r1.size:
-        return h.q(r1, make_hyperideal(r1, m1))
+        return is_q_primary(make_hyperideal(r1, m1))
     if len(m1) == r1.size and len(m2) < r2.size:
-        return h.q(r2, make_hyperideal(r2, m2))
+        return is_q_primary(make_hyperideal(r2, m2))
     return False
 
 
@@ -195,9 +183,9 @@ def _check_2_4(h, report):
     for r1, r2, r3 in triples:
         r12 = direct_product(r1, r2)
         rp = direct_product(r12, r3)
-        for p in h.proper(rp):
+        for p in proper_hyperideals(rp):
             report.instances += 1
-            lhs = h.q(rp, p)
+            lhs = is_q_primary(p)
             split = _split_product_ideal(r12, r3, rp, p)
             rhs = False
             if split is not None:
@@ -209,7 +197,7 @@ def _check_2_4(h, report):
                     propers = [(r, m) for r, m in parts if len(m) < r.size]
                     if len(propers) == 1:
                         r_u, m_u = propers[0]
-                        rhs = h.q(r_u, make_hyperideal(r_u, m_u))
+                        rhs = is_q_primary(make_hyperideal(r_u, m_u))
             if lhs != rhs:
                 _fail(report, rp,
                       f"ideal {p.render()}: q_primary={lhs} but t-fold form={rhs}")
@@ -218,7 +206,7 @@ def _check_2_4(h, report):
 def _check_2_6(h, report):
     k = h.k
     for ring in h.structures:
-        for p in h.proper(ring):
+        for p in proper_hyperideals(ring):
             if is_q_primary(p):
                 report.instances += 1
                 if not is_kn_absorbing_q_primary(p, k):
@@ -236,7 +224,7 @@ def _check_2_7(h, report):
     k = h.k
     for ring in h.structures:
         by_radical = {}
-        for p in h.proper(ring):
+        for p in proper_hyperideals(ring):
             by_radical.setdefault(radical_by_primes(ring, p), []).append(p)
         for rad, ideals in sorted(by_radical.items(),
                                   key=lambda kv: tuple(sorted(kv[0]))):
@@ -259,13 +247,12 @@ def _check_2_7(h, report):
 def _check_2_8(h, report):
     k = h.k
     for ring in h.structures:
-        for p in h.proper(ring):
-            rad = radical_by_primes(ring, p)
-            if len(rad) == ring.size:
+        for p in proper_hyperideals(ring):
+            both = _kn_absorbing_q_primary_cached(ring, p.members, k)
+            if both is None:
                 continue
             report.instances += 1
-            direct = _kn_absorbing_cached(ring, rad, k)[0]
-            via = _kn_absorbing_tuple_condition(ring, p.members, rad, k)[0]
+            (direct, _), (via, _) = both
             if direct != via:
                 _fail(report, ring,
                       f"{p.render()}: radical characterization={direct} but "
@@ -277,7 +264,7 @@ def _check_2_9(h, report):
     for ring in h.structures:
         variants = {f"u>n variant (u={ring.n + 1})": ring.n + 1,
                     f"u>k variant (u={k + 1})": k + 1}
-        for p in h.proper(ring):
+        for p in proper_hyperideals(ring):
             if not is_kn_absorbing_q_primary(p, k):
                 continue
             report.instances += 1
@@ -293,21 +280,21 @@ def _check_2_9(h, report):
 
 def _check_3_3(h, report):
     for ring in h.structures:
-        for p in h.proper(ring):
-            if h.sq(ring, p):
+        for p in proper_hyperideals(ring):
+            if is_sq_primary(p):
                 report.instances += 1
-                if not h.q(ring, p):
+                if not is_q_primary(p):
                     _fail(report, ring, f"{p.render()} sq-primary but not q-primary")
 
 
 def _check_3_4(h, report):
     for ring in h.structures:
-        for p in h.proper(ring):
+        for p in proper_hyperideals(ring):
             rad = radical_by_primes(ring, p)
             square = hyperideal_product(ring, [rad, rad])
-            if square.ideal.members <= p.members and h.q(ring, p):
+            if square.ideal.members <= p.members and is_q_primary(p):
                 report.instances += 1
-                if not h.sq(ring, p):
+                if not is_sq_primary(p):
                     _fail(report, ring,
                           f"{p.render()} q-primary with squared radical inside "
                           f"it but not sq-primary")
@@ -319,14 +306,14 @@ def _check_3_5(h, report):
         for x in ring.carrier:
             gen = generated_by(ring, x)
             ideal = gen.ideal if gen.raw_is_ideal else None
-            if ideal is None or not ideal.proper or not h.sq(ring, ideal):
+            if ideal is None or not ideal.proper or not is_sq_primary(ideal):
                 hyp = False
                 break
         if not hyp:
             continue
         report.instances += 1
-        for p in h.proper(ring):
-            if not h.sq(ring, p):
+        for p in proper_hyperideals(ring):
+            if not is_sq_primary(p):
                 _fail(report, ring,
                       f"all principal ideals sq-primary but {p.render()} is not")
 
@@ -335,11 +322,10 @@ def _check_3_7(h, report):
     for ring in h.structures:
         ideals = enumerate_hyperideals(ring)
         n = ring.n
-        pad = (ring.one,) * (n - 2)
-        sq_ideals = [p for p in h.proper(ring) if h.sq(ring, p)]
+        sq_ideals = [p for p in proper_hyperideals(ring) if is_sq_primary(p)]
         if not sq_ideals:
             continue
-        squares = {x: ring.g[(x, x) + pad] for x in ring.carrier}
+        squares = _squares(ring)
         families = []
         for family in itertools.product(ideals, repeat=n):
             prod = frozenset(
@@ -372,14 +358,13 @@ def _check_3_7(h, report):
 
 def _check_3_8(h, report):
     for ring in h.structures:
-        pad = (ring.one,) * (ring.n - 2)
-        for p in h.proper(ring):
-            if not h.sq(ring, p):
+        for p in proper_hyperideals(ring):
+            if not is_sq_primary(p):
                 continue
             for r in ring.carrier:
                 if r in p.members:
                     continue
-                square = ring.g[(r, r) + pad]
+                square = g_product(ring, (r, r))
                 if generated_by(ring, r).raw != generated_by(ring, square).raw:
                     continue
                 report.instances += 1
@@ -404,8 +389,8 @@ def _check_3_9(h, report):
                 pid = product_ideal(rp, r1, r2, p1.members, p2.members)
                 report.instances += 1
                 lhs = is_sq_primary(pid)
-                rhs = ((not p2.proper and p1.proper and h.sq(r1, p1))
-                       or (not p1.proper and p2.proper and h.sq(r2, p2)))
+                rhs = ((not p2.proper and p1.proper and is_sq_primary(p1))
+                       or (not p1.proper and p2.proper and is_sq_primary(p2)))
                 if lhs != rhs:
                     _fail(report, rp,
                           f"{p1.render()} x {p2.render()}: sq={lhs} but "
@@ -415,7 +400,7 @@ def _check_3_9(h, report):
 # -- section 4: wsq-primary ---------------------------------------------------
 
 def _wsq_not_sq(h, ring):
-    return [p for p in h.proper(ring)
+    return [p for p in proper_hyperideals(ring)
             if is_wsq_primary(p) and not is_sq_primary(p)]
 
 
@@ -458,7 +443,7 @@ def _check_4_6(h, report):
 
 def _check_4_7(h, report):
     for ring in h.structures:
-        propers = h.proper(ring)
+        propers = proper_hyperideals(ring)
         for p in propers:
             if not is_weakly_primary(p):
                 continue
@@ -475,7 +460,7 @@ def _check_4_7(h, report):
 
 def _check_4_8(h, report):
     for ring in h.structures:
-        for p in h.proper(ring):
+        for p in proper_hyperideals(ring):
             if not is_weakly_primary(p):
                 continue
             report.instances += 1
@@ -487,9 +472,9 @@ def _check_4_8(h, report):
 
 def _check_4_9(h, report):
     for ring in h.structures:
-        for p in h.proper(ring):
+        for p in proper_hyperideals(ring):
             report.instances += 1
-            lhs = h.wsq(ring, p)
+            lhs = is_wsq_primary(p)
             rad = radical_by_primes(ring, p)
             rhs = True
             bad_r = None
@@ -512,8 +497,8 @@ def _check_4_10(h, report):
         zero_ideal = frozenset({ring.zero})
         if radical_by_powers(ring, zero_ideal) != zero_ideal:
             continue
-        for p in h.proper(ring):
-            if not h.wsq(ring, p):
+        for p in proper_hyperideals(ring):
+            if not is_wsq_primary(p):
                 continue
             report.instances += 1
             rad = radical_by_primes(ring, p)
@@ -552,10 +537,10 @@ def _check_4_11(h, report):
                       f"not wsq-primary")
     for ring in h.structures:
         for qid, table, proj in h.quotients(ring):
-            for p1 in h.proper(ring):
+            for p1 in proper_hyperideals(ring):
                 if not qid.members <= p1.members:
                     continue
-                if not h.wsq(ring, p1):
+                if not is_wsq_primary(p1):
                     continue
                 report.instances += 1
                 img = image_ideal(proj, p1)
@@ -568,19 +553,19 @@ def _check_4_11(h, report):
 def _check_4_12(h, report):
     for ring in h.structures:
         for qid, table, proj in h.quotients(ring):
-            for p in h.proper(ring):
+            for p in proper_hyperideals(ring):
                 if not qid.members <= p.members:
                     continue
                 img = image_ideal(proj, p)
-                if h.wsq(ring, p):
+                if is_wsq_primary(p):
                     report.instances += 1
                     if not (img.proper and is_wsq_primary(img)):
                         _fail(report, ring,
                               f"{p.render()}/{qid.render()} not wsq-primary "
                               f"in {table.name}")
-                if h.wsq(ring, qid) and img.proper and is_wsq_primary(img):
+                if is_wsq_primary(qid) and img.proper and is_wsq_primary(img):
                     report.instances += 1
-                    if not h.wsq(ring, p):
+                    if not is_wsq_primary(p):
                         _fail(report, ring,
                               f"{qid.render()} and {p.render()}/{qid.render()} "
                               f"wsq-primary but {p.render()} is not")
@@ -589,8 +574,8 @@ def _check_4_12(h, report):
 def _check_4_13(h, report):
     for ring in h.structures:
         for members, sub in h.subrings(ring):
-            for p in h.proper(ring):
-                if members <= p.members or not h.wsq(ring, p):
+            for p in proper_hyperideals(ring):
+                if members <= p.members or not is_wsq_primary(p):
                     continue
                 report.instances += 1
                 inter = frozenset(sorted(members & p.members))
@@ -607,7 +592,7 @@ def _check_4_15(h, report):
         for ring_a, ring_b, flip in ((r1, r2, False), (r2, r1, True)):
             if flip and ring_a is ring_b:
                 continue
-            for p1 in h.proper(ring_a):
+            for p1 in proper_hyperideals(ring_a):
                 report.instances += 1
                 if flip:
                     pid = product_ideal(rp, r1, r2, r1.full_set, p1.members)
@@ -615,7 +600,7 @@ def _check_4_15(h, report):
                     pid = product_ideal(rp, r1, r2, p1.members, r2.full_set)
                 wsq = is_wsq_primary(pid)
                 sq = is_sq_primary(pid)
-                factor_sq = h.sq(ring_a, p1)
+                factor_sq = is_sq_primary(p1)
                 if not (wsq == sq == factor_sq):
                     _fail(report, rp,
                           f"{p1.render()} x full: wsq={wsq} sq={sq} "
@@ -625,8 +610,8 @@ def _check_4_15(h, report):
 def _check_4_16(h, report):
     for r1, r2, rp in h.pairs:
         zero_pair = frozenset({rp.zero})
-        for p1 in h.proper(r1):
-            for p2 in h.proper(r2):
+        for p1 in proper_hyperideals(r1):
+            for p2 in proper_hyperideals(r2):
                 pid = product_ideal(rp, r1, r2, p1.members, p2.members)
                 if pid.members == zero_pair:
                     continue

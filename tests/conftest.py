@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hyperrings.core import HyperringTable
@@ -37,6 +39,37 @@ def G_mod_0246(corpus):
 @pytest.fixture(scope="session")
 def ONE(corpus):
     return corpus[5]
+
+
+def fold(ring, m, n):
+    """Derived (m,n)-structure of a (2,2) table: f and g are the left folds
+    of the binary f and g (Mirvakili and Davvaz, Relations on Krasner
+    (m,n)-hyperrings, Eur. J. Combin. 2010)."""
+    rng = range(ring.size)
+    f, g = {}, {}
+    for t in itertools.product(rng, repeat=m):
+        acc = {t[0]}
+        for x in t[1:]:
+            acc = set().union(*(ring.f[(a, x)] for a in acc))
+        f[t] = acc
+    for t in itertools.product(rng, repeat=n):
+        acc = t[0]
+        for x in t[1:]:
+            acc = ring.g[(acc, x)]
+        g[t] = acc
+    return HyperringTable(f"{ring.name}^({m},{n})", m, n, ring.labels,
+                          ring.zero, ring.one, f, g)
+
+
+@pytest.fixture(scope="session")
+def G33(G):
+    return fold(G, 3, 3)
+
+
+@pytest.fixture(scope="session")
+def folds(G, G33):
+    """The (3,3), (2,3) and (3,2) folds of G; all three are valid."""
+    return [G33, fold(G, 2, 3), fold(G, 3, 2)]
 
 
 def mutate(ring, name, f_overrides=None, g_overrides=None):

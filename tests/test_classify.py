@@ -1,17 +1,24 @@
+import importlib
 import itertools
 
 import pytest
 
-from hyperrings.classify import (classify, is_kn_absorbing,
-                                 is_kn_absorbing_primary,
+from hyperrings.classify import (InternalInconsistencyError, classify,
+                                 is_kn_absorbing, is_kn_absorbing_primary,
                                  is_kn_absorbing_q_primary, is_prime,
                                  is_primary, is_q_primary, is_sq_primary,
                                  is_weakly_primary, is_weakly_prime,
                                  is_wsq_primary)
 from hyperrings.core import g_product
+from hyperrings.corpus import document_text
+from hyperrings.documents import parse_document
 from hyperrings.ideals import (ImproperIdealError, ideal_from_labels,
                                make_hyperideal, proper_hyperideals,
                                radical_by_primes)
+from hyperrings.theorems import run_theorem
+
+# the package re-exports the classify function under the submodule's name
+classify_module = importlib.import_module("hyperrings.classify")
 
 
 def subset(ring, *labels):
@@ -165,6 +172,50 @@ class TestAbsorbingQPrimary:
         p = ideal_from_labels(G, "0,6")
         assert radical_by_primes(G, p) == p.members
         assert is_kn_absorbing_q_primary(p, 2) == is_kn_absorbing(p, 2)
+
+    def test_classify_matches_predicate(self, corpus):
+        # the witness is the radical's own (k,n)-absorbing witness; on the
+        # 36-element GxG only k=2 is checked, since classify(p, 3) spends
+        # about a minute there in the k=3 absorbing-primary scan
+        for ring in corpus:
+            k_max = 2 if ring.size > 8 else 3
+            for p in proper_hyperideals(ring):
+                record = classify(p, k_max)
+                rad = radical_by_primes(ring, p)
+                for k in range(2, k_max + 1):
+                    name = f"absorbing_q_primary_k{k}"
+                    ok = is_kn_absorbing_q_primary(p, k)
+                    assert record.outcomes[name] == ok, (ring.name, p.render())
+                    if ok:
+                        assert name not in record.witnesses
+                    elif len(rad) == ring.size:
+                        assert record.witnesses[name] == "radical is improper"
+                    else:
+                        rad_ideal = make_hyperideal(ring, rad, strict=False)
+                        assert (record.witnesses[name] == classify(
+                            rad_ideal, k_max).witnesses[f"absorbing_k{k}"])
+
+    def test_disagreement_raises(self, monkeypatch):
+        # a freshly parsed G, so that no memo keyed by it is warm; the
+        # tuple characterization is flipped wherever its target is the
+        # radical rather than the ideal itself
+        original = classify_module._kn_absorbing_eval
+
+        def flipped(ring, members, target, k):
+            ok, witness = original(ring, members, target, k)
+            return (ok if target == members else not ok), witness
+
+        monkeypatch.setattr(classify_module, "_kn_absorbing_eval", flipped)
+        G = parse_document(document_text("g.json"))
+        p = ideal_from_labels(G, "0,4")
+        assert radical_by_primes(G, p) != p.members
+        with pytest.raises(InternalInconsistencyError, match="disagree"):
+            is_kn_absorbing_q_primary(p, 2)
+        with pytest.raises(InternalInconsistencyError, match="disagree"):
+            classify(p, 3)
+        report = run_theorem("Thm 2.8", [G])
+        assert report.status == "fail"
+        assert any("{0,4}" in f for f in report.failures)
 
 
 class TestSqPrimary:

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import pytest
 
 from hyperrings import cli
 from hyperrings.classify import InternalInconsistencyError
 from hyperrings.cli import main
 from hyperrings.corpus import document_text
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +167,11 @@ class TestTheorems:
         assert code == 0
         assert "Thm 3.3: pass" in out
         assert "fail: 0" in out
+
+    def test_builtin_corpus_golden(self, capsys):
+        code, out, _ = run(capsys, "theorems")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "theorems_builtin.txt").read_bytes()
 
     def test_missing_theorem_file(self, capsys):
         assert run(capsys, "theorems", "/nonexistent.json")[0] == 2

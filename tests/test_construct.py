@@ -154,8 +154,8 @@ class TestSubhyperrings:
         assert is_subhyperring(G, subset(G, "0"))
         assert not is_subhyperring(G, subset(G, "1", "3"))
 
-    def test_enumeration_matches_brute_force(self, corpus):
-        for ring in corpus:
+    def test_enumeration_matches_brute_force(self, corpus, folds):
+        for ring in list(corpus) + folds:
             if ring.size > 8:
                 continue
             rest = [x for x in ring.carrier if x != ring.zero]

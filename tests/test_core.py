@@ -17,6 +17,62 @@ def subset(ring, *labels):
     return frozenset(ring.index(x) for x in labels)
 
 
+# -- element-wise reference folds -------------------------------------------
+# g_product is the one identity-padded fold that g_iterated and g_power
+# call; the functions below are the separate folds it replaced, kept
+# verbatim as the reference.
+
+def reference_g_eval(ring, args):
+    if len(args) != ring.n:
+        raise ArityError(f"g takes {ring.n} arguments, got {len(args)}")
+    return ring.g[tuple(args)]
+
+
+def reference_g_iterated(ring, args):
+    """Left-nested fold of g over l(n-1)+1 arguments; l=1 is plain g."""
+    n = ring.n
+    k = len(args)
+    if k < n or (k - 1) % (n - 1) != 0:
+        raise ArityError(f"g_iterated needs l(n-1)+1 arguments for n={n}, got {k}")
+    g = ring.g
+    acc = g[tuple(args[:n])]
+    pos = n
+    while pos < k:
+        acc = g[(acc,) + tuple(args[pos:pos + n - 1])]
+        pos += n - 1
+    return acc
+
+
+def reference_g_power(ring, a, s):
+    """s-th g-power of a, identity-padded to a representable arity.
+
+    For s <= n this is g(a^(s), 1^(n-s)); for larger s the argument list
+    a^(s) is padded with the scalar identity up to the next length of the
+    form l(n-1)+1, which is value-neutral under the identity axiom.
+    """
+    if s < 1:
+        raise ValueError("power count must be >= 1")
+    n = ring.n
+    if s <= n:
+        return reference_g_eval(ring, (a,) * s + (ring.one,) * (n - s))
+    rem = (s - 1) % (n - 1)
+    pad = 0 if rem == 0 else (n - 1) - rem
+    return reference_g_iterated(ring, (a,) * s + (ring.one,) * pad)
+
+
+def reference_g_product(ring, elems):
+    """g-product of an arbitrary non-empty argument list, identity-padded."""
+    elems = tuple(elems)
+    if not elems:
+        raise ValueError("empty product")
+    n = ring.n
+    if len(elems) < n:
+        return reference_g_eval(ring, elems + (ring.one,) * (n - len(elems)))
+    rem = (len(elems) - 1) % (n - 1)
+    pad = 0 if rem == 0 else (n - 1) - rem
+    return reference_g_iterated(ring, elems + (ring.one,) * pad)
+
+
 class TestFExtend:
     def test_singletons_match_table(self, G):
         # f_extend({1},{2}) is the table row: {1,3}
@@ -117,9 +173,22 @@ class TestGProduct:
         assert g_product(G, [G.index("3")]) == G.index("3")
         assert g_product(G, lab(G, "2", "2", "3")) == G.index("0")
 
-    def test_matches_iterated_when_representable(self, H):
-        for t in itertools.product(H.carrier, repeat=3):
-            assert g_product(H, t) == g_iterated(H, t)
+    def test_matches_element_wise_reference(self, G, H, folds):
+        for ring in [G, H] + folds:
+            n = ring.n
+            for length in range(1, 2 * n):
+                representable = length >= n and (length - 1) % (n - 1) == 0
+                if not representable:
+                    with pytest.raises(ArityError):
+                        g_iterated(ring, (ring.one,) * length)
+                for t in itertools.product(ring.carrier, repeat=length):
+                    expect = reference_g_product(ring, t)
+                    assert g_product(ring, t) == expect, (ring.name, t)
+                    if representable:
+                        assert g_iterated(ring, t) == expect, (ring.name, t)
+            for a in ring.carrier:
+                for s in range(1, 2 * n):
+                    assert g_power(ring, a, s) == reference_g_power(ring, a, s)
 
 
 class TestValidators:

@@ -3,12 +3,13 @@ import itertools
 import pytest
 
 from hyperrings.ideals import (ImproperIdealError, brute_force_hyperideals,
-                               enumerate_hyperideals, generated_by,
-                               hyperideal_product, ideal_from_labels,
-                               is_hyperideal, jacobson_radical,
-                               make_hyperideal, maximal_hyperideals,
-                               proper_hyperideals, quotient_sets,
-                               radical_by_primes, radical_by_powers)
+                               closed_sets, enumerate_hyperideals,
+                               generated_by, hyperideal_product,
+                               ideal_from_labels, is_hyperideal,
+                               jacobson_radical, make_hyperideal,
+                               maximal_hyperideals, proper_hyperideals,
+                               quotient_sets, radical_by_primes,
+                               radical_by_powers)
 
 
 def subset(ring, *labels):
@@ -46,12 +47,26 @@ class TestEnumeration:
     def test_one_element(self, ONE):
         assert [i.members for i in enumerate_hyperideals(ONE)] == [ONE.full_set]
 
-    def test_matches_brute_force_on_small_structures(self, corpus):
-        for ring in corpus:
+    def test_matches_brute_force_on_small_structures(self, corpus, folds):
+        for ring in list(corpus) + folds:
             if ring.size > 8:
                 continue
             fast = [i.members for i in enumerate_hyperideals(ring)]
             assert fast == brute_force_hyperideals(ring), ring.name
+
+    def test_closed_sets_need_joins(self, G):
+        # on the corpus and the folds every hyperideal and subhyperring is
+        # the closure of one element; adjoining zero is a closure whose
+        # closed sets the search reaches only through its joins
+        def adjoin_zero(ring, seed):
+            return frozenset(seed) | {ring.zero}
+
+        rest = [x for x in G.carrier if x != G.zero]
+        every = [frozenset(c) | {G.zero}
+                 for r in range(len(rest) + 1)
+                 for c in itertools.combinations(rest, r)]
+        assert closed_sets(G, adjoin_zero) == sorted(
+            every, key=lambda s: (len(s), tuple(sorted(s))))
 
     def test_product_ideals_are_products(self, G, GxG):
         factor = [i.members for i in enumerate_hyperideals(G)]

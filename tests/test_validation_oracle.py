@@ -9,11 +9,10 @@ of G to other arities, and on randomly corrupted tables.
 """
 import itertools
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperrings import core
-from hyperrings.core import HyperringTable, Violation, validate_krasner
+from hyperrings.core import Violation, validate_krasner
 
 from conftest import mutate
 
@@ -97,26 +96,6 @@ def reference_violations(ring):
     return out
 
 
-def fold(ring, m, n):
-    """Derived (m,n)-structure of a (2,2) table: f and g are the left folds
-    of the binary f and g (Mirvakili and Davvaz, Relations on Krasner
-    (m,n)-hyperrings, Eur. J. Combin. 2010)."""
-    rng = range(ring.size)
-    f, g = {}, {}
-    for t in itertools.product(rng, repeat=m):
-        acc = {t[0]}
-        for x in t[1:]:
-            acc = set().union(*(ring.f[(a, x)] for a in acc))
-        f[t] = acc
-    for t in itertools.product(rng, repeat=n):
-        acc = t[0]
-        for x in t[1:]:
-            acc = ring.g[(acc, x)]
-        g[t] = acc
-    return HyperringTable(f"{ring.name}^({m},{n})", m, n, ring.labels,
-                          ring.zero, ring.one, f, g)
-
-
 HYPERGROUP_AXIOMS = {"f-output-nonempty", "f-commutativity", "f-associativity",
                      "zero-scalar-neutral", "inverse-uniqueness", "reversibility"}
 
@@ -138,9 +117,8 @@ def test_builtin_corpus(corpus):
         assert_same_report(ring)
 
 
-def test_folds_of_g(G):
-    for m, n in ((3, 3), (2, 3), (3, 2)):
-        ring = fold(G, m, n)
+def test_folds_of_g(folds):
+    for ring in folds:
         assert_same_report(ring)
         assert validate_krasner(ring).passed
 
@@ -179,11 +157,6 @@ def test_corrupted_h(H, data):
 @given(data=st.data())
 def test_corrupted_g_mod_06(G_mod_06, data):
     assert_same_report(data.draw(corruptions(G_mod_06)))
-
-
-@pytest.fixture(scope="module")
-def G33(G):
-    return fold(G, 3, 3)
 
 
 @settings(CORRUPTION_SETTINGS, max_examples=8)
