@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import g_product
 from .ideals import (Hyperideal, ImproperIdealError, _is_prime_set,
@@ -21,10 +20,12 @@ class InternalInconsistencyError(RuntimeError):
     """Two characterizations that must agree disagreed: implementation bug."""
 
 
-def _require_proper(ideal):
+def _require_proper(ideal, k=1):
     if not ideal.proper:
         raise ImproperIdealError(
             f"{ideal.render()} is the whole of {ideal.ring.name}")
+    if k < 1:
+        raise ValueError("k must be positive")
 
 
 def _squares(ring):
@@ -156,130 +157,101 @@ def _kn_absorbing_primary_eval(ring, members, rad, k):
     return True, None
 
 
-# -- cached per-(ring, members) evaluators ------------------------------------
+# -- memoised outcomes --------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _prime_cached(ring, members):
-    return _is_prime_set(ring, members)
-
-
-@lru_cache(maxsize=None)
-def _weakly_prime_cached(ring, members):
-    return _weakly_prime_eval(ring, members)
-
-
-@lru_cache(maxsize=None)
-def _primary_cached(ring, members):
-    rad = radical_by_primes(ring, members)
-    return _primary_eval(ring, members, rad)
-
-
-@lru_cache(maxsize=None)
-def _weakly_primary_cached(ring, members):
-    rad = radical_by_primes(ring, members)
-    return _weakly_primary_eval(ring, members, rad)
-
-
-@lru_cache(maxsize=None)
-def _q_primary_cached(ring, members):
+def _q_primary_eval(ring, members, k):
     rad = radical_by_primes(ring, members)
     if len(rad) == ring.size:
         return False, "radical is improper"
-    ok, witness = _prime_cached(ring, rad)
-    return ok, witness
+    return _outcome(ring, rad, "prime")
 
 
-@lru_cache(maxsize=None)
-def _kn_absorbing_cached(ring, members, k):
-    return _kn_absorbing_eval(ring, members, members, k)
-
-
-@lru_cache(maxsize=None)
-def _kn_absorbing_q_primary_cached(ring, members, k):
-    """Both characterizations of (k,n)-absorbing q-primary as (ok, witness)
-    pairs: the radical is (k,n)-absorbing, and the tuple condition on the
-    ideal with the radical as target.  None when the radical is improper,
-    since an absorbing hyperideal is proper by definition."""
+def _kn_absorbing_q_primary_eval(ring, members, k):
+    """The radical of the ideal is (k,n)-absorbing: checked on the radical,
+    and by the tuple condition on the ideal with the radical as target.  A
+    disagreement means a bug, not mathematics, and raises.  False when the
+    radical is improper, since an absorbing hyperideal is proper."""
     rad = radical_by_primes(ring, members)
     if len(rad) == ring.size:
-        return None
-    return (_kn_absorbing_cached(ring, rad, k),
-            _kn_absorbing_eval(ring, members, rad, k))
+        return False, "radical is improper"
+    direct = _outcome(ring, rad, "absorbing", k)
+    via_tuples = _outcome(ring, members, "absorbing_q_primary_tuples", k)
+    if direct[0] != via_tuples[0]:
+        raise InternalInconsistencyError(
+            f"absorbing q-primary characterizations disagree on "
+            f"{ring.subset_label(members)} (k={k}): radical={direct[0]} "
+            f"tuples={via_tuples[0]}")
+    return direct
 
 
-@lru_cache(maxsize=None)
-def _kn_absorbing_primary_cached(ring, members, k):
-    rad = radical_by_primes(ring, members)
-    return _kn_absorbing_primary_eval(ring, members, rad, k)
+# predicate name -> evaluator(ring, members, k), giving (ok, witness)
+_EVALUATORS = {
+    "prime": lambda ring, p, k: _is_prime_set(ring, p),
+    "weakly_prime": lambda ring, p, k: _weakly_prime_eval(ring, p),
+    "primary": lambda ring, p, k: _primary_eval(
+        ring, p, radical_by_primes(ring, p)),
+    "weakly_primary": lambda ring, p, k: _weakly_primary_eval(
+        ring, p, radical_by_primes(ring, p)),
+    "q_primary": _q_primary_eval,
+    "sq_primary": lambda ring, p, k: _sq_eval(
+        ring, p, radical_by_primes(ring, p), weak=False),
+    "wsq_primary": lambda ring, p, k: _sq_eval(
+        ring, p, radical_by_primes(ring, p), weak=True),
+    "absorbing": lambda ring, p, k: _kn_absorbing_eval(ring, p, p, k),
+    "absorbing_primary": lambda ring, p, k: _kn_absorbing_primary_eval(
+        ring, p, radical_by_primes(ring, p), k),
+    "absorbing_q_primary_tuples": lambda ring, p, k: _kn_absorbing_eval(
+        ring, p, radical_by_primes(ring, p), k),
+    "absorbing_q_primary": _kn_absorbing_q_primary_eval,
+}
 
 
-@lru_cache(maxsize=None)
-def _sq_cached(ring, members):
-    rad = radical_by_primes(ring, members)
-    return _sq_eval(ring, members, rad, weak=False)
-
-
-@lru_cache(maxsize=None)
-def _wsq_cached(ring, members):
-    rad = radical_by_primes(ring, members)
-    return _sq_eval(ring, members, rad, weak=True)
+def _outcome(ring, members, name, k=None):
+    """The evaluator `name` on a member set of the ring, memoised there."""
+    key = (name, members, k)
+    try:
+        return ring.memo[key]
+    except KeyError:
+        out = ring.memo[key] = _EVALUATORS[name](ring, members, k)
+        return out
 
 
 # -- public predicates -------------------------------------------------------
 
 def is_prime(ideal):
     _require_proper(ideal)
-    return _prime_cached(ideal.ring, ideal.members)[0]
+    return _outcome(ideal.ring, ideal.members, "prime")[0]
 
 
 def is_weakly_prime(ideal):
     _require_proper(ideal)
-    return _weakly_prime_cached(ideal.ring, ideal.members)[0]
+    return _outcome(ideal.ring, ideal.members, "weakly_prime")[0]
 
 
 def is_primary(ideal):
     _require_proper(ideal)
-    return _primary_cached(ideal.ring, ideal.members)[0]
+    return _outcome(ideal.ring, ideal.members, "primary")[0]
 
 
 def is_weakly_primary(ideal):
     _require_proper(ideal)
-    return _weakly_primary_cached(ideal.ring, ideal.members)[0]
+    return _outcome(ideal.ring, ideal.members, "weakly_primary")[0]
 
 
 def is_q_primary(ideal):
     """Radical is a proper, prime hyperideal."""
     _require_proper(ideal)
-    return _q_primary_cached(ideal.ring, ideal.members)[0]
+    return _outcome(ideal.ring, ideal.members, "q_primary")[0]
 
 
 def is_kn_absorbing(ideal, k):
-    _require_proper(ideal)
-    if k < 1:
-        raise ValueError("k must be positive")
-    return _kn_absorbing_cached(ideal.ring, ideal.members, k)[0]
+    _require_proper(ideal, k)
+    return _outcome(ideal.ring, ideal.members, "absorbing", k)[0]
 
 
 def is_kn_absorbing_primary(ideal, k):
-    _require_proper(ideal)
-    if k < 1:
-        raise ValueError("k must be positive")
-    return _kn_absorbing_primary_cached(ideal.ring, ideal.members, k)[0]
-
-
-def _kn_absorbing_q_primary(ideal, k):
-    """(ok, witness) of the radical characterization, once both
-    characterizations are found to agree; a disagreement raises (it would
-    mean a bug, not mathematics)."""
-    both = _kn_absorbing_q_primary_cached(ideal.ring, ideal.members, k)
-    if both is None:
-        return False, "radical is improper"
-    direct, via_tuples = both
-    if direct[0] != via_tuples[0]:
-        raise InternalInconsistencyError(
-            f"absorbing q-primary characterizations disagree on "
-            f"{ideal.render()} (k={k}): radical={direct[0]} tuples={via_tuples[0]}")
-    return direct
+    _require_proper(ideal, k)
+    return _outcome(ideal.ring, ideal.members, "absorbing_primary", k)[0]
 
 
 def is_kn_absorbing_q_primary(ideal, k):
@@ -289,20 +261,18 @@ def is_kn_absorbing_q_primary(ideal, k):
     tuple-level condition on the ideal itself; the two must agree.  When
     the radical is improper the answer is False.
     """
-    _require_proper(ideal)
-    if k < 1:
-        raise ValueError("k must be positive")
-    return _kn_absorbing_q_primary(ideal, k)[0]
+    _require_proper(ideal, k)
+    return _outcome(ideal.ring, ideal.members, "absorbing_q_primary", k)[0]
 
 
 def is_sq_primary(ideal):
     _require_proper(ideal)
-    return _sq_cached(ideal.ring, ideal.members)[0]
+    return _outcome(ideal.ring, ideal.members, "sq_primary")[0]
 
 
 def is_wsq_primary(ideal):
     _require_proper(ideal)
-    return _wsq_cached(ideal.ring, ideal.members)[0]
+    return _outcome(ideal.ring, ideal.members, "wsq_primary")[0]
 
 
 # -- classification records ---------------------------------------------------
@@ -323,27 +293,39 @@ class ClassificationRecord:
         return lines
 
 
+# (a, b, n_max): a implies b on valid structures with n <= n_max, or any n
+# when n_max is None.  sq => q is proved for n = 2 (Koc, Tekir and Yildiz,
+# Bull. Korean Math. Soc. 2019); {0} of the (3,3) fold of G refutes n = 3.
 _IMPLICATIONS = [
-    ("prime", "primary"),
-    ("primary", "q_primary"),
-    ("sq_primary", "wsq_primary"),
-    ("sq_primary", "q_primary"),
+    ("prime", "weakly_prime", None),
+    ("prime", "primary", None),
+    ("primary", "weakly_primary", None),
+    ("primary", "q_primary", None),
+    ("sq_primary", "q_primary", 2),
+    ("sq_primary", "wsq_primary", None),
+    ("q_primary", "absorbing_q_primary_k2", None),
+    ("absorbing_primary_k2", "absorbing_q_primary_k2", None),
 ]
 
 
 def classify(ideal, k_max=2):
     """Evaluate every predicate on one hyperideal, recording witnesses.
 
-    Consistency of the implication chain (prime => primary => q-primary,
-    sq => wsq, sq => q) is asserted for genuine hyperideals; a violation
-    raises InternalInconsistencyError.
+    Every implication of `_IMPLICATIONS` whose arity scope covers the ring
+    and whose two predicates were evaluated is asserted for genuine
+    hyperideals of valid structures; a violation raises
+    InternalInconsistencyError.  The record is memoised in the ring's memo.
     """
     _require_proper(ideal)
-    return _classify_cached(ideal, k_max)
+    key = ("classify", ideal.members, ideal.valid, k_max)
+    try:
+        return ideal.ring.memo[key]
+    except KeyError:
+        out = ideal.ring.memo[key] = _classify(ideal, k_max)
+        return out
 
 
-@lru_cache(maxsize=None)
-def _classify_cached(ideal, k_max):
+def _classify(ideal, k_max):
     ring = ideal.ring
     members = ideal.members
     outcomes = {}
@@ -356,25 +338,21 @@ def _classify_cached(ideal, k_max):
                 witness = f"({ring.tuple_label(witness)})"
             witnesses[name] = witness
 
-    record("prime", *_prime_cached(ring, members))
-    record("weakly_prime", *_weakly_prime_cached(ring, members))
-    record("primary", *_primary_cached(ring, members))
-    record("weakly_primary", *_weakly_primary_cached(ring, members))
-    record("q_primary", *_q_primary_cached(ring, members))
-    record("sq_primary", *_sq_cached(ring, members))
-    record("wsq_primary", *_wsq_cached(ring, members))
+    for name in ("prime", "weakly_prime", "primary", "weakly_primary",
+                 "q_primary", "sq_primary", "wsq_primary"):
+        record(name, *_outcome(ring, members, name))
     for k in range(2, k_max + 1):
-        record(f"absorbing_k{k}", *_kn_absorbing_cached(ring, members, k))
-        record(f"absorbing_primary_k{k}",
-               *_kn_absorbing_primary_cached(ring, members, k))
-        record(f"absorbing_q_primary_k{k}", *_kn_absorbing_q_primary(ideal, k))
+        for name in ("absorbing", "absorbing_primary", "absorbing_q_primary"):
+            record(f"{name}_k{k}", *_outcome(ring, members, name, k))
 
-    # the implication chain is a theorem about valid structures; it is not
+    # the implications are theorems about valid structures; they are not
     # asserted for deviant subsets or known-deviant ambient tables
     ring_ok = ring.validation is None or ring.validation.passed
     if ideal.valid and ring_ok:
-        for a, b in _IMPLICATIONS:
-            if outcomes[a] and not outcomes[b]:
+        for a, b, n_max in _IMPLICATIONS:
+            if n_max is not None and ring.n > n_max:
+                continue
+            if outcomes.get(a) and outcomes.get(b) is False:
                 raise InternalInconsistencyError(
                     f"{a} holds but {b} fails on {ideal.render()} of {ring.name}")
     return ClassificationRecord(ideal, outcomes, witnesses,

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (ArityError, HyperringTable, ValidationReport, Violation,
                    f_extend, validate_krasner)
-from .ideals import Hyperideal, closed_sets, make_hyperideal
+from .ideals import _members_of, closed_sets, make_hyperideal
 
 
 class IllDefinedQuotientError(ValueError):
@@ -51,9 +50,16 @@ class Homomorphism:
         return frozenset(x for x, y in enumerate(self.mapping) if y == z)
 
 
-@lru_cache(maxsize=None)
 def direct_product(r1, r2):
     """Componentwise product hyperring on the cartesian carrier."""
+    try:
+        return r1.memo[r2]  # a product lives with its first factor
+    except KeyError:
+        out = r1.memo[r2] = _direct_product(r1, r2)
+        return out
+
+
+def _direct_product(r1, r2):
     if (r1.m, r1.n) != (r2.m, r2.n):
         raise ArityError(f"arity mismatch: ({r1.m},{r1.n}) vs ({r2.m},{r2.n})")
     m, n = r1.m, r1.n
@@ -104,12 +110,15 @@ def quotient(ring, ideal):
     violations raise IllDefinedQuotientError with a witness.  Returns the
     quotient table and the projection homomorphism.
     """
-    return _quotient_cached(ring, ideal.members if isinstance(ideal, Hyperideal)
-                            else frozenset(ideal))
+    key = ("quotient", _members_of(ideal))
+    try:
+        return ring.memo[key]
+    except KeyError:
+        out = ring.memo[key] = _quotient(ring, key[1])
+        return out
 
 
-@lru_cache(maxsize=None)
-def _quotient_cached(ring, q_members):
+def _quotient(ring, q_members):
     if len(q_members) >= ring.size:
         raise ValueError("quotient needs a proper hyperideal")
     m, n = ring.m, ring.n
@@ -267,10 +276,13 @@ def _subring_closure(ring, seed):
         members |= added
 
 
-@lru_cache(maxsize=None)
 def enumerate_subhyperrings(ring):
     """All subhyperrings: the closed sets of the subhyperring closure."""
-    return closed_sets(ring, _subring_closure)
+    try:
+        return ring.memo["subhyperrings"]
+    except KeyError:
+        out = ring.memo["subhyperrings"] = closed_sets(ring, _subring_closure)
+        return out
 
 
 def scalar_identity_in(ring, members):

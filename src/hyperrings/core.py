@@ -61,9 +61,11 @@ class HyperringTable:
     f maps every ordered m-tuple of element indices to a frozenset of
     indices; g maps every ordered n-tuple to a single index.  Tables are
     total.  Instances are treated as immutable after construction and are
-    hashed by identity, which is what the module-level `lru_cache`s of
-    derived data (ideal lattices, radicals, classifications) key on; those
-    caches keep every table they see alive for the life of the process.
+    hashed by identity.  `memo` holds all data derived from the table
+    (ideal lattice, radicals, predicate outcomes and records, quotients,
+    subhyperrings, and products with the table as first factor, keyed by
+    the second), so it is released with the table.  A failed computation
+    stores nothing, so it fails again when repeated.
     """
 
     def __init__(self, name, m, n, labels, zero, one, f, g,
@@ -87,6 +89,7 @@ class HyperringTable:
         self.validation_waived = False
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._inverses = None
+        self.memo = {}
         self._check_total()
 
     def _check_total(self):

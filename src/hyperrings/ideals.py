@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import ArityError, g_power, g_product
 
@@ -149,13 +148,20 @@ def closed_sets(ring, closure):
     return _canonical_order(found)
 
 
-@lru_cache(maxsize=None)
 def enumerate_hyperideals(ring):
     """All hyperideals, R included: the closed sets of ideal_closure.
 
     Verified against the 2^|R| brute-force filter for small carriers in
     the test suite.
     """
+    try:
+        return ring.memo["hyperideals"]
+    except KeyError:
+        out = ring.memo["hyperideals"] = _enumerate_hyperideals(ring)
+        return out
+
+
+def _enumerate_hyperideals(ring):
     return [Hyperideal(ring, s, True) for s in closed_sets(ring, ideal_closure)]
 
 
@@ -183,13 +189,17 @@ def _is_prime_set(ring, members):
     return True, None
 
 
-@lru_cache(maxsize=None)
 def prime_hyperideals(ring):
-    out = []
-    for p in enumerate_hyperideals(ring):
-        if p.proper and _is_prime_set(ring, p.members)[0]:
-            out.append(p)
-    return out
+    try:
+        return ring.memo["prime_hyperideals"]
+    except KeyError:
+        out = ring.memo["prime_hyperideals"] = _prime_hyperideals(ring)
+        return out
+
+
+def _prime_hyperideals(ring):
+    return [p for p in enumerate_hyperideals(ring)
+            if p.proper and _is_prime_set(ring, p.members)[0]]
 
 
 def _members_of(ideal_or_set):
@@ -201,10 +211,14 @@ def _members_of(ideal_or_set):
 def radical_by_primes(ring, ideal):
     """Intersection of the prime hyperideals containing the ideal; R when
     no prime contains it."""
-    return _radical_by_primes(ring, _members_of(ideal))
+    key = ("radical_by_primes", _members_of(ideal))
+    try:
+        return ring.memo[key]
+    except KeyError:
+        out = ring.memo[key] = _radical_by_primes(ring, key[1])
+        return out
 
 
-@lru_cache(maxsize=None)
 def _radical_by_primes(ring, members):
     out = None
     for p in prime_hyperideals(ring):
@@ -219,18 +233,18 @@ def radical_by_powers(ring, ideal):
     Over a finite carrier the power sequence is eventually periodic, so
     powers up to |R| suffice.
     """
-    return _radical_by_powers(ring, _members_of(ideal))
+    key = ("radical_by_powers", _members_of(ideal))
+    try:
+        return ring.memo[key]
+    except KeyError:
+        out = ring.memo[key] = _radical_by_powers(ring, key[1])
+        return out
 
 
-@lru_cache(maxsize=None)
 def _radical_by_powers(ring, members):
-    out = set()
-    for a in ring.carrier:
-        for s in range(1, ring.size + 1):
-            if g_power(ring, a, s) in members:
-                out.add(a)
-                break
-    return frozenset(out)
+    return frozenset(a for a in ring.carrier
+                     if any(g_power(ring, a, s) in members
+                            for s in range(1, ring.size + 1)))
 
 
 def maximal_hyperideals(ring):

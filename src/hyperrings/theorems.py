@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .classify import (_kn_absorbing_cached, _kn_absorbing_q_primary_cached,
-                       _squares, classify, is_kn_absorbing_primary,
-                       is_kn_absorbing_q_primary, is_q_primary, is_sq_primary,
-                       is_weakly_prime, is_weakly_primary, is_wsq_primary)
+from .classify import (_IMPLICATIONS, _outcome, _squares, classify,
+                       is_kn_absorbing_primary, is_kn_absorbing_q_primary,
+                       is_q_primary, is_sq_primary, is_weakly_prime,
+                       is_weakly_primary, is_wsq_primary)
 
 from .construct import (Homomorphism, direct_product,
                         enumerate_subhyperrings, image_ideal,
@@ -228,7 +228,7 @@ def _check_2_7(h, report):
             by_radical.setdefault(radical_by_primes(ring, p), []).append(p)
         for rad, ideals in sorted(by_radical.items(),
                                   key=lambda kv: tuple(sorted(kv[0]))):
-            if len(rad) == ring.size or not _kn_absorbing_cached(ring, rad, k)[0]:
+            if len(rad) == ring.size or not _outcome(ring, rad, "absorbing", k)[0]:
                 continue
             for size in (2, 3):
                 for family in itertools.combinations(ideals, size):
@@ -237,7 +237,7 @@ def _check_2_7(h, report):
                     for p in family[1:]:
                         inter &= p.members
                     got = radical_by_primes(ring, inter)
-                    if got != rad or not _kn_absorbing_cached(ring, got, k)[0]:
+                    if got != rad or not _outcome(ring, got, "absorbing", k)[0]:
                         _fail(report, ring,
                               f"intersection of {[p.render() for p in family]} "
                               f"has radical {ring.subset_label(got)}, not "
@@ -248,11 +248,12 @@ def _check_2_8(h, report):
     k = h.k
     for ring in h.structures:
         for p in proper_hyperideals(ring):
-            both = _kn_absorbing_q_primary_cached(ring, p.members, k)
-            if both is None:
+            rad = radical_by_primes(ring, p)
+            if len(rad) == ring.size:
                 continue
             report.instances += 1
-            (direct, _), (via, _) = both
+            direct = _outcome(ring, rad, "absorbing", k)[0]
+            via = _outcome(ring, p.members, "absorbing_q_primary_tuples", k)[0]
             if direct != via:
                 _fail(report, ring,
                       f"{p.render()}: radical characterization={direct} but "
@@ -270,7 +271,7 @@ def _check_2_9(h, report):
             report.instances += 1
             rad = radical_by_primes(ring, p)
             for tag, u in variants.items():
-                if not _kn_absorbing_cached(ring, rad, u)[0]:
+                if not _outcome(ring, rad, "absorbing", u)[0]:
                     _fail(report, ring,
                           f"{p.render()} ({k},n)-absorbing q-primary but not "
                           f"({u},n)-absorbing q-primary [{tag}]")
@@ -686,16 +687,7 @@ def summary_line(reports):
 
 # -- implication matrix -------------------------------------------------------
 
-KNOWN_IMPLICATIONS = [
-    ("prime", "weakly_prime"),
-    ("prime", "primary"),
-    ("primary", "weakly_primary"),
-    ("primary", "q_primary"),
-    ("sq_primary", "q_primary"),
-    ("sq_primary", "wsq_primary"),
-    ("q_primary", "absorbing_q_primary_k2"),
-    ("absorbing_primary_k2", "absorbing_q_primary_k2"),
-]
+KNOWN_IMPLICATIONS = [(a, b) for a, b, _ in _IMPLICATIONS]
 
 
 @dataclass

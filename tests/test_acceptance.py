@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 happen.  Criteria with runtime budgets measure fresh objects (freshly
-parsed tables get fresh caches, since all memoisation is keyed by table
-identity), so timings are not flattered by earlier tests.
+parsed tables get fresh memos, since all memoisation lives in the table
+itself), so timings are not flattered by earlier tests.
 """
 import subprocess
 import sys

@@ -296,3 +296,33 @@ class TestClassify:
     def test_improper_raises(self, G):
         with pytest.raises(ImproperIdealError):
             classify(make_hyperideal(G, G.full_set))
+
+
+class TestImplicationScope:
+    """sq => q is proved for n = 2 only; at n = 3 it has counterexamples,
+    which classify reports as outcomes rather than raising on."""
+
+    def test_sq_not_q_at_n3_is_a_record(self, G33):
+        rec = classify(make_hyperideal(G33, {G33.zero}), k_max=2)
+        assert rec.outcomes["sq_primary"] is True
+        assert rec.outcomes["q_primary"] is False
+
+    def test_thm_3_3_still_fails_at_n3(self, G33):
+        report = run_theorem("Thm 3.3", [G33])
+        assert report.status == "fail"
+        assert any("{0} sq-primary but not q-primary" in f
+                   for f in report.failures)
+
+    def test_every_fold_ideal_classifies(self, folds):
+        for ring in folds:
+            for p in proper_hyperideals(ring):
+                assert classify(p, 3).ideal == p
+
+    def test_sq_implies_q_still_checked_at_n2(self, monkeypatch):
+        monkeypatch.setitem(classify_module._EVALUATORS, "q_primary",
+                            lambda ring, members, k: (False, "forced"))
+        G = parse_document(document_text("g.json"))
+        p = ideal_from_labels(G, "0,4")
+        assert is_sq_primary(p)
+        with pytest.raises(InternalInconsistencyError, match="q_primary fails"):
+            classify(p)

@@ -6,6 +6,7 @@ from hyperrings import cli
 from hyperrings.classify import InternalInconsistencyError
 from hyperrings.cli import main
 from hyperrings.corpus import document_text
+from hyperrings.documents import serialize_document
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -118,6 +119,15 @@ class TestClassify:
                            "--ideal", "0,1,2,3,4,6")
         assert code == 2
         assert "improper" in err
+
+    def test_sq_not_q_fold_prints_a_record(self, G33, tmp_path, capsys):
+        path = tmp_path / "g33.json"
+        path.write_text(serialize_document(G33))
+        code, out, err = run(capsys, "classify", str(path), "--ideal", "0")
+        assert code == 0
+        assert err == ""
+        assert "sq_primary=true" in out
+        assert "q_primary=false" in out
 
     def test_internal_inconsistency_is_an_error_not_a_traceback(
             self, docs, capsys, monkeypatch):

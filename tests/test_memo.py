@@ -1,0 +1,121 @@
+"""The per-table memo: repeated calls return the memoised object, failed
+calls store nothing, and derived data is released with its table."""
+import gc
+import importlib
+import weakref
+
+import pytest
+
+from hyperrings.classify import (ClassificationRecord,
+                                 InternalInconsistencyError, classify)
+from hyperrings.construct import (direct_product, enumerate_subhyperrings,
+                                  quotient)
+from hyperrings.corpus import document_text
+from hyperrings.documents import parse_document
+from hyperrings.ideals import (ImproperIdealError, enumerate_hyperideals,
+                               ideal_from_labels, make_hyperideal,
+                               radical_by_powers, radical_by_primes)
+from hyperrings.theorems import run_all
+
+classify_module = importlib.import_module("hyperrings.classify")
+
+
+def fresh_g():
+    return parse_document(document_text("g.json"))
+
+
+class TestMemoIdentity:
+    """A rebuild returns an equal but new object, so `is` detects a memo
+    that misses."""
+
+    def test_repeated_calls_return_the_same_object(self):
+        G = fresh_g()
+        p = ideal_from_labels(G, "0,4")
+        zero = frozenset({G.zero})
+        calls = {
+            "direct_product": lambda: direct_product(G, G),
+            "quotient": lambda: quotient(G, p),
+            "enumerate_hyperideals": lambda: enumerate_hyperideals(G),
+            "enumerate_subhyperrings": lambda: enumerate_subhyperrings(G),
+            "radical_by_primes": lambda: radical_by_primes(G, zero),
+            "radical_by_powers": lambda: radical_by_powers(G, zero),
+            "classify": lambda: classify(p, 3),
+        }
+        for name, call in calls.items():
+            assert call() is call(), name
+
+    def test_equal_arguments_share_an_entry(self):
+        G = fresh_g()
+        p = ideal_from_labels(G, "0,4")
+        assert quotient(G, p) is quotient(G, set(p.members))
+        zero = frozenset({G.zero})
+        assert radical_by_primes(G, zero) is radical_by_primes(
+            G, make_hyperideal(G, {G.zero}))
+        assert classify(p) is classify(ideal_from_labels(G, "4,0"))
+
+    def test_product_lives_in_the_first_factor(self):
+        G = fresh_g()
+        Q = parse_document(document_text("g_mod_06.json"))
+        product = direct_product(G, Q)
+        assert product in G.memo.values()
+        assert product not in Q.memo.values()
+        assert direct_product(Q, G) is not product
+
+
+class TestFailedCallsStoreNothing:
+    @staticmethod
+    def raises_twice(ring, exc, call, match=None):
+        with pytest.raises(exc, match=match):
+            call()
+        before = list(ring.memo)
+        with pytest.raises(exc, match=match):
+            call()
+        assert list(ring.memo) == before
+        assert not any(isinstance(v, ClassificationRecord)
+                       for v in ring.memo.values())
+
+    def test_quotient_by_the_whole_ring(self):
+        G = fresh_g()
+        self.raises_twice(G, ValueError, lambda: quotient(G, G.full_set),
+                          match="proper")
+        assert not G.memo
+
+    def test_classify_of_an_improper_ideal(self):
+        G = fresh_g()
+        whole = make_hyperideal(G, G.full_set)
+        self.raises_twice(G, ImproperIdealError, lambda: classify(whole))
+        assert not G.memo
+
+    def test_forced_disagreement(self, monkeypatch):
+        original = classify_module._kn_absorbing_eval
+
+        def flipped(ring, members, target, k):
+            ok, witness = original(ring, members, target, k)
+            return (ok if target == members else not ok), witness
+
+        monkeypatch.setattr(classify_module, "_kn_absorbing_eval", flipped)
+        G = fresh_g()
+        p = ideal_from_labels(G, "0,4")
+        self.raises_twice(G, InternalInconsistencyError,
+                          lambda: classify(p, 3), match="disagree")
+
+
+def _exercise_and_watch():
+    """Derive everything the harness derives from a fresh G; return
+    weak references to G and to its square."""
+    G = fresh_g()
+    for p in enumerate_hyperideals(G):
+        if p.proper:
+            classify(p, 3)
+            quotient(G, p)
+    product = direct_product(G, G)
+    enumerate_hyperideals(product)
+    run_all([G])
+    return weakref.ref(G), weakref.ref(product)
+
+
+def test_derived_data_is_released_with_its_table():
+    g_ref, product_ref = _exercise_and_watch()
+    gc.collect()
+    assert g_ref() is None
+    assert product_ref() is None
