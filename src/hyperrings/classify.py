@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import g_product
 from .ideals import (Hyperideal, ImproperIdealError, _is_prime_set,
@@ -86,6 +87,18 @@ def _sq_eval(ring, members, rad, weak):
 
 # -- absorbing predicates ---------------------------------------------------
 
+class _Products(dict):
+    """Per-scan cache: sub-tuple -> its identity-padded g-product."""
+
+    def __init__(self, ring):
+        super().__init__()
+        self.ring = ring
+
+    def __missing__(self, t):
+        out = self[t] = g_product(self.ring, t)
+        return out
+
+
 def _iter_qualifying(ring, members, length, sorted_only=False):
     """Tuples over R \\ members of the given length whose left-nested
     g-product lies in members.
@@ -103,8 +116,16 @@ def _iter_qualifying(ring, members, length, sorted_only=False):
     if not outside:
         return
     if sorted_only and ring.commutative_g:
-        for t in itertools.combinations_with_replacement(outside, length):
-            if g_product(ring, t) in members:
+        tuples = itertools.combinations_with_replacement(outside, length)
+        if length == n:
+            yield from (t for t in tuples if g[t] in members)
+            return
+        products = _Products(ring)
+        # neighbouring tuples share all but their last n-1 entries, so the
+        # product of that head comes from the cache
+        head = length - (n - 1)
+        for t in tuples:
+            if g[(products[t[:head]],) + t[head:]] in members:
                 yield t
         return
     steps = (length - n) // (n - 1)
@@ -129,30 +150,37 @@ def _iter_qualifying(ring, members, length, sorted_only=False):
             yield from extend(first, acc, steps)
 
 
+def _picks(length, small):
+    """One getter per index subset of the given size, in combinations
+    order; each returns that sub-tuple of a tuple, a 1-tuple included."""
+    if small == 1:
+        return [lambda t, i=i: (t[i],) for i in range(length)]
+    return [itemgetter(*s) for s in itertools.combinations(range(length), small)]
+
+
 def _kn_absorbing_eval(ring, members, target, k):
     """Every qualifying tuple of the ideal has some small-subset product
     in target: the ideal itself for (k,n)-absorbing, its radical for the
     tuple characterization of (k,n)-absorbing q-primary."""
     length = k * (ring.n - 1) + 1
-    small = (k - 1) * (ring.n - 1) + 1
-    subsets = list(itertools.combinations(range(length), small))
+    picks = _picks(length, (k - 1) * (ring.n - 1) + 1)
+    products = _Products(ring)
     # the per-tuple condition is permutation-invariant, so sorted tuples
     # suffice on a commutative g
     for t in _iter_qualifying(ring, members, length, sorted_only=True):
-        if not any(g_product(ring, [t[i] for i in s]) in target for s in subsets):
+        if not any(products[pick(t)] in target for pick in picks):
             return False, t
     return True, None
 
 
 def _kn_absorbing_primary_eval(ring, members, rad, k):
     length = k * (ring.n - 1) + 1
-    small = (k - 1) * (ring.n - 1) + 1
-    leading = tuple(range(small))
-    others = [s for s in itertools.combinations(range(length), small) if s != leading]
+    leading, *others = _picks(length, (k - 1) * (ring.n - 1) + 1)
+    products = _Products(ring)
     for t in _iter_qualifying(ring, members, length):
-        if g_product(ring, t[:small]) in members:
+        if products[leading(t)] in members:
             continue
-        if not any(g_product(ring, [t[i] for i in s]) in rad for s in others):
+        if not any(products[pick(t)] in rad for pick in others):
             return False, t
     return True, None
 
@@ -212,8 +240,9 @@ def _outcome(ring, members, name, k=None):
     try:
         return ring.memo[key]
     except KeyError:
-        out = ring.memo[key] = _EVALUATORS[name](ring, members, k)
-        return out
+        pass
+    out = ring.memo[key] = _EVALUATORS[name](ring, members, k)
+    return out
 
 
 # -- public predicates -------------------------------------------------------
@@ -321,8 +350,9 @@ def classify(ideal, k_max=2):
     try:
         return ideal.ring.memo[key]
     except KeyError:
-        out = ideal.ring.memo[key] = _classify(ideal, k_max)
-        return out
+        pass
+    out = ideal.ring.memo[key] = _classify(ideal, k_max)
+    return out
 
 
 def _classify(ideal, k_max):

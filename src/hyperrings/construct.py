@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .core import (ArityError, HyperringTable, ValidationReport, Violation,
                    f_extend, validate_krasner)
-from .ideals import _members_of, closed_sets, make_hyperideal
+from .ideals import (_members_of, closed_sets, make_hyperideal,
+                     worklist_closure)
 
 
 class IllDefinedQuotientError(ValueError):
@@ -55,8 +56,9 @@ def direct_product(r1, r2):
     try:
         return r1.memo[r2]  # a product lives with its first factor
     except KeyError:
-        out = r1.memo[r2] = _direct_product(r1, r2)
-        return out
+        pass
+    out = r1.memo[r2] = _direct_product(r1, r2)
+    return out
 
 
 def _direct_product(r1, r2):
@@ -114,8 +116,9 @@ def quotient(ring, ideal):
     try:
         return ring.memo[key]
     except KeyError:
-        out = ring.memo[key] = _quotient(ring, key[1])
-        return out
+        pass
+    out = ring.memo[key] = _quotient(ring, key[1])
+    return out
 
 
 def _quotient(ring, q_members):
@@ -259,21 +262,7 @@ def is_subhyperring(ring, members):
 
 
 def _subring_closure(ring, seed):
-    members = set(seed)
-    members.add(ring.zero)
-    while True:
-        added = set()
-        for x in list(members):
-            added |= ring.inverses(x) - members
-        for t in itertools.product(sorted(members), repeat=ring.m):
-            added |= ring.f[t] - members
-        for t in itertools.product(sorted(members), repeat=ring.n):
-            v = ring.g[t]
-            if v not in members:
-                added.add(v)
-        if not added:
-            return frozenset(members)
-        members |= added
+    return worklist_closure(ring, seed, False)
 
 
 def enumerate_subhyperrings(ring):
@@ -281,8 +270,9 @@ def enumerate_subhyperrings(ring):
     try:
         return ring.memo["subhyperrings"]
     except KeyError:
-        out = ring.memo["subhyperrings"] = closed_sets(ring, _subring_closure)
-        return out
+        pass
+    out = ring.memo["subhyperrings"] = closed_sets(ring, _subring_closure)
+    return out
 
 
 def scalar_identity_in(ring, members):

@@ -6,6 +6,15 @@ argument position.  Two independent radical algorithms are provided: the
 intersection of the prime hyperideals above an ideal, and the set of
 elements some g-power of which lands in the ideal.  On every corpus
 structure the two must agree; the test suite enforces it.
+
+Closures are worklists: each round handles only the elements new in that
+round, so every f- or g-tuple is evaluated once per closure.  Absorption
+reads a per-table index, built once from the g table, that holds for each
+element the g-values of every n-tuple containing it.  A subset is a
+hyperideal exactly when its closure adds nothing, and that is how
+`make_hyperideal`, `generated_by` and `quotient_sets` decide it;
+`hyperideal_violations` names the broken invariants for error messages
+and serves as the test oracle.
 """
 from __future__ import annotations
 
@@ -43,7 +52,11 @@ class Hyperideal:
 
 
 def hyperideal_violations(ring, members):
-    """Which hyperideal invariants the subset breaks, with witnesses."""
+    """Which hyperideal invariants the subset breaks, with witnesses.
+
+    Empty exactly when the subset is its own `ideal_closure`, which is the
+    cheaper test; this scan is kept for error messages and as the oracle.
+    """
     members = frozenset(members)
     out = []
     if not members:
@@ -86,11 +99,12 @@ def is_hyperideal(ring, members):
 
 def make_hyperideal(ring, members, strict=True):
     members = frozenset(members)
-    bad = hyperideal_violations(ring, members)
-    if bad and strict:
+    valid = ideal_closure(ring, members) == members
+    if not valid and strict:
+        bad = hyperideal_violations(ring, members)
         raise ValueError(f"{ring.subset_label(members)} is not a hyperideal "
                          f"of {ring.name}: {bad[0]}")
-    return Hyperideal(ring, members, valid=not bad)
+    return Hyperideal(ring, members, valid=valid)
 
 
 def ideal_from_labels(ring, labels, strict=True):
@@ -98,27 +112,72 @@ def ideal_from_labels(ring, labels, strict=True):
     return make_hyperideal(ring, members, strict=strict)
 
 
+def absorption_index(ring):
+    """For each element x, the g-values of every n-tuple containing x.
+
+    A set holding x is absorbing at x exactly when it contains this set,
+    so a closure absorbs a new element with one union.  Built in one pass
+    over the g table and memoised in the ring's memo.
+    """
+    try:
+        return ring.memo["absorption"]
+    except KeyError:
+        pass
+    out = ring.memo["absorption"] = _absorption_index(ring)
+    return out
+
+
+def _absorption_index(ring):
+    out = [set() for _ in ring.carrier]
+    for t, v in ring.g.items():
+        for x in t:
+            out[x].add(v)
+    return [frozenset(s) for s in out]
+
+
+def _touching(old, new, every, arity):
+    """Every tuple over old | new with an entry in new, each exactly once:
+    the tuples whose first entry from new is at position i are
+    old^i x new x every^(arity-1-i)."""
+    return itertools.chain.from_iterable(
+        itertools.product(*[old] * i, new, *[every] * (arity - 1 - i))
+        for i in range(arity))
+
+
+def worklist_closure(ring, seed, absorbing):
+    """Least superset of seed | {0} closed under f, the inverses, and
+    either absorption under g (a hyperideal) or g itself (a subhyperring).
+
+    Each round only processes the elements that are new in that round:
+    their inverses and absorption sets, and f (or g) on the tuples over
+    the members that contain at least one new element.  Every tuple is
+    therefore evaluated once over the whole closure.
+    """
+    f, g, m, n = ring.f, ring.g, ring.m, ring.n
+    absorb = absorption_index(ring) if absorbing else None
+    members = set()
+    new = set(seed)
+    new.add(ring.zero)
+    while new:
+        old = list(members)
+        members |= new
+        every = list(members)
+        fresh = set(itertools.chain.from_iterable(
+            map(f.__getitem__, _touching(old, new, every, m))))
+        for x in new:
+            fresh |= ring.inverses(x)
+        if absorbing:
+            for x in new:
+                fresh |= absorb[x]
+        else:
+            fresh.update(map(g.__getitem__, _touching(old, new, every, n)))
+        new = fresh - members
+    return frozenset(members)
+
+
 def ideal_closure(ring, seed):
     """Smallest hyperideal containing the seed (least fixpoint)."""
-    members = set(seed)
-    members.add(ring.zero)
-    f, g, n = ring.f, ring.g, ring.n
-    rng = range(ring.size)
-    while True:
-        added = set()
-        for x in list(members):
-            added |= ring.inverses(x) - members
-        for t in itertools.product(sorted(members), repeat=ring.m):
-            added |= f[t] - members
-        for i in range(n):
-            for amb in itertools.product(rng, repeat=n - 1):
-                for s in members:
-                    v = g[amb[:i] + (s,) + amb[i:]]
-                    if v not in members:
-                        added.add(v)
-        if not added:
-            return frozenset(members)
-        members |= added
+    return worklist_closure(ring, seed, True)
 
 
 def _canonical_order(sets):
@@ -129,11 +188,12 @@ def closed_sets(ring, closure):
     """Every set closed under a closure operator on the carrier.
 
     Each closed set is the join (closure of the union) of the closures of
-    its elements, so closing the singleton closures and {0} under binary
-    joins yields the whole lattice, in canonical order.
+    its elements, so closing the singleton closures under binary joins
+    yields the whole lattice, in canonical order.  Its least element is
+    the closure of {0}, not {0} itself, which a broken table need not keep
+    closed.
     """
     found = {closure(ring, frozenset([x])) for x in ring.carrier}
-    found.add(frozenset([ring.zero]))
     while True:
         fresh = set()
         for a, b in itertools.combinations(found, 2):
@@ -157,8 +217,9 @@ def enumerate_hyperideals(ring):
     try:
         return ring.memo["hyperideals"]
     except KeyError:
-        out = ring.memo["hyperideals"] = _enumerate_hyperideals(ring)
-        return out
+        pass
+    out = ring.memo["hyperideals"] = _enumerate_hyperideals(ring)
+    return out
 
 
 def _enumerate_hyperideals(ring):
@@ -193,8 +254,9 @@ def prime_hyperideals(ring):
     try:
         return ring.memo["prime_hyperideals"]
     except KeyError:
-        out = ring.memo["prime_hyperideals"] = _prime_hyperideals(ring)
-        return out
+        pass
+    out = ring.memo["prime_hyperideals"] = _prime_hyperideals(ring)
+    return out
 
 
 def _prime_hyperideals(ring):
@@ -215,8 +277,9 @@ def radical_by_primes(ring, ideal):
     try:
         return ring.memo[key]
     except KeyError:
-        out = ring.memo[key] = _radical_by_primes(ring, key[1])
-        return out
+        pass
+    out = ring.memo[key] = _radical_by_primes(ring, key[1])
+    return out
 
 
 def _radical_by_primes(ring, members):
@@ -237,8 +300,9 @@ def radical_by_powers(ring, ideal):
     try:
         return ring.memo[key]
     except KeyError:
-        out = ring.memo[key] = _radical_by_powers(ring, key[1])
-        return out
+        pass
+    out = ring.memo[key] = _radical_by_powers(ring, key[1])
+    return out
 
 
 def _radical_by_powers(ring, members):
@@ -273,9 +337,8 @@ class GeneratedIdeal:
 
 def generated_by(ring, x):
     raw = frozenset(g_product(ring, (r, x)) for r in ring.carrier)
-    ok = is_hyperideal(ring, raw)
-    closed = raw if ok else ideal_closure(ring, raw)
-    return GeneratedIdeal(raw, ok, Hyperideal(ring, closed, True))
+    closed = ideal_closure(ring, raw)
+    return GeneratedIdeal(raw, closed == raw, Hyperideal(ring, closed, True))
 
 
 @dataclass(frozen=True)
@@ -293,7 +356,7 @@ def quotient_sets(ring, ideal, r):
     products = [g_product(ring, (r, a)) for a in ring.carrier]
     p_r = frozenset(a for a, v in enumerate(products) if v in members)
     a_r = frozenset(a for a, v in enumerate(products) if v == ring.zero)
-    return IdealSetPair(r, p_r, a_r, is_hyperideal(ring, p_r))
+    return IdealSetPair(r, p_r, a_r, ideal_closure(ring, p_r) == p_r)
 
 
 @dataclass(frozen=True)

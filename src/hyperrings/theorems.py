@@ -619,7 +619,10 @@ def _check_4_16(h, report):
                 report.instances += 1
                 wsq = is_wsq_primary(pid)
                 sq = is_sq_primary(pid)
-                # with both factors proper the product form is unsatisfiable
+                # the paper's claim: with both factors proper the product
+                # is neither wsq- nor sq-primary.  It is refuted at n = 3:
+                # on G^(2,3), {0,4} x {0,3,6} is sq-primary (ROADMAP.md
+                # open item 1, the n >= 3 sq/wsq findings)
                 if wsq or sq:
                     _fail(report, rp,
                           f"{p1.render()} x {p2.render()} != <0> with both "

@@ -17,6 +17,8 @@ from hyperrings.ideals import (ImproperIdealError, ideal_from_labels,
                                radical_by_primes)
 from hyperrings.theorems import run_theorem
 
+from conftest import mutate
+
 # the package re-exports the classify function under the submodule's name
 classify_module = importlib.import_module("hyperrings.classify")
 
@@ -216,6 +218,52 @@ class TestAbsorbingQPrimary:
         report = run_theorem("Thm 2.8", [G])
         assert report.status == "fail"
         assert any("{0,4}" in f for f in report.failures)
+
+
+def brute_kn_absorbing_primary(ring, members, rad, k):
+    """Definition-level oracle: every (kn-k+1)-tuple whose g-product lies
+    in the set has its leading (k-1)n-k+2 product in the set or another
+    index subset's product in the radical."""
+    length = k * (ring.n - 1) + 1
+    small = (k - 1) * (ring.n - 1) + 1
+    others = list(itertools.combinations(range(length), small))[1:]
+    for t in itertools.product(range(ring.size), repeat=length):
+        if g_product(ring, t) not in members:
+            continue
+        if g_product(ring, t[:small]) in members:
+            continue
+        if not any(g_product(ring, [t[i] for i in s]) in rad for s in others):
+            return False
+    return True
+
+
+class TestAbsorbingOracles:
+    # k = 1 makes every index subset a single entry and every qualifying
+    # tuple exactly n long
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_against_brute_force(self, G, H, k):
+        for ring in (G, H):
+            for p in proper_hyperideals(ring):
+                rad = radical_by_primes(ring, p)
+                where = (ring.name, p.render(), k)
+                assert (is_kn_absorbing(p, k)
+                        == brute_kn_absorbing(ring, p.members, k)), where
+                assert (is_kn_absorbing_primary(p, k)
+                        == brute_kn_absorbing_primary(ring, p.members, rad, k)), where
+                assert is_kn_absorbing_q_primary(p, k) == (
+                    len(rad) < ring.size
+                    and brute_kn_absorbing(ring, rad, k)), where
+
+    def test_k1_where_1_is_not_neutral(self, G_mod_06):
+        # g(2+4, 1) = 1 here, so a product re-associated through 1 differs
+        # from g itself on tuples starting with 2+4; {0+6} tells them apart
+        ring = G_mod_06
+        a, one = ring.index("2+4"), ring.one
+        ring = mutate(ring, "G/{0,6}-corrupt",
+                      g_overrides={(a, one): one, (one, a): one})
+        p = make_hyperideal(ring, {ring.zero})
+        assert is_kn_absorbing(p, 1) == brute_kn_absorbing(ring, p.members, 1)
+        assert not is_kn_absorbing(p, 1)
 
 
 class TestSqPrimary:

@@ -183,6 +183,13 @@ class TestTheorems:
         assert code == 0
         assert out.encode() == (GOLDEN / "theorems_builtin.txt").read_bytes()
 
+    def test_builtin_corpus_kmax_1_golden(self, capsys):
+        # at k = 1 every absorbing index subset is a single entry
+        code, out, _ = run(capsys, "theorems", "--kmax", "1")
+        assert code == 0
+        assert out.encode() == (
+            GOLDEN / "theorems_builtin_kmax1.txt").read_bytes()
+
     def test_missing_theorem_file(self, capsys):
         assert run(capsys, "theorems", "/nonexistent.json")[0] == 2
 

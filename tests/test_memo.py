@@ -80,11 +80,18 @@ class TestFailedCallsStoreNothing:
                           match="proper")
         assert not G.memo
 
+    def test_a_miss_is_not_the_context_of_a_build_error(self):
+        G = fresh_g()
+        with pytest.raises(ValueError, match="proper") as info:
+            quotient(G, G.full_set)
+        assert info.value.__context__ is None
+
     def test_classify_of_an_improper_ideal(self):
         G = fresh_g()
         whole = make_hyperideal(G, G.full_set)
         self.raises_twice(G, ImproperIdealError, lambda: classify(whole))
-        assert not G.memo
+        # only the absorption index, which the hyperideal test builds
+        assert list(G.memo) == ["absorption"]
 
     def test_forced_disagreement(self, monkeypatch):
         original = classify_module._kn_absorbing_eval

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hyperrings import core
 from hyperrings.core import Violation, validate_krasner
 
-from conftest import mutate
+from strategies import corruptions
 
 
 # -- reference scans ------------------------------------------------------
@@ -124,18 +124,6 @@ def test_folds_of_g(folds):
 
 
 # -- random corruptions ---------------------------------------------------
-
-@st.composite
-def corruptions(draw, ring):
-    """Overwrite a few f- and g-entries; the table stays total, and an
-    f-entry may become empty."""
-    element = st.integers(0, ring.size - 1)
-    f_keys = st.tuples(*[element] * ring.m)
-    g_keys = st.tuples(*[element] * ring.n)
-    f_over = draw(st.dictionaries(f_keys, st.frozensets(element), max_size=4))
-    g_over = draw(st.dictionaries(g_keys, element, max_size=4))
-    return mutate(ring, f"{ring.name}-corrupt", f_over, g_over)
-
 
 CORRUPTION_SETTINGS = settings(max_examples=25, deadline=None,
                                derandomize=True, database=None)
