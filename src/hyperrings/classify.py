@@ -3,8 +3,13 @@ sq-primary and wsq-primary, plus full classification records.
 
 All predicates quantify exhaustively over tuples of carrier elements;
 witnesses are the first violating tuple in lexicographic carrier order so
-that golden outputs stay deterministic.  Predicates require a proper
-hyperideal and raise ImproperIdealError otherwise.
+that golden outputs stay deterministic.  The scans go row by row: a tuple
+is a prefix and a last entry c, and `ideals.row_masks` gives, for each
+prefix, the bitmask of the c whose g-value lies in a set.  A prefix
+settles every c at once with a few mask operations, and since c varies
+fastest, the witness is the first failing prefix with its least c left.
+Predicates require a proper hyperideal and raise ImproperIdealError
+otherwise.
 """
 from __future__ import annotations
 
@@ -13,8 +18,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import g_product
-from .ideals import (Hyperideal, ImproperIdealError, _is_prime_set,
-                     radical_by_primes)
+from .ideals import (Hyperideal, ImproperIdealError, complement, lowest,
+                     mask_of, radical_by_primes, row_masks, tuple_scan)
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -33,156 +38,127 @@ def _squares(ring):
     return [g_product(ring, (x, x)) for x in ring.carrier]
 
 
-def _drop(ring, t, i):
-    """g of the tuple with position i replaced by the scalar identity."""
-    return ring.g[t[:i] + (ring.one,) + t[i + 1:]]
-
-
 # -- n-tuple predicates ----------------------------------------------------
 
-def _weakly_prime_eval(ring, members):
-    g, zero = ring.g, ring.zero
-    for t in itertools.product(range(ring.size), repeat=ring.n):
-        v = g[t]
-        if v == zero or v not in members:
-            continue
-        if not any(x in members for x in t):
-            return False, t
-    return True, None
-
-
 def _primary_eval(ring, members, rad):
-    g, n = ring.g, ring.n
-    for t in itertools.product(range(ring.size), repeat=n):
-        if g[t] not in members:
+    """A tuple fails where some entry outside the ideal drops to a g-value
+    outside the radical; the rows of the drops mark where that happens."""
+    rows, kept = row_masks(ring, members), row_masks(ring, rad)
+    g, one, outside = ring.g, ring.one, mask_of(complement(ring, members))
+    for prefix in itertools.product(ring.carrier, repeat=ring.n - 1):
+        hit = rows[prefix]
+        if not hit:
             continue
-        for i in range(n):
-            if t[i] not in members and _drop(ring, t, i) not in rad:
-                return False, t
-    return True, None
-
-
-def _weakly_primary_eval(ring, members, rad):
-    g, n, zero = ring.g, ring.n, ring.zero
-    for t in itertools.product(range(ring.size), repeat=n):
-        v = g[t]
-        if v == zero or v not in members:
-            continue
-        if not any(t[i] in members or _drop(ring, t, i) in rad for i in range(n)):
-            return False, t
+        bad = outside if g[prefix + (one,)] not in rad else 0
+        for i, x in enumerate(prefix):
+            if x not in members:
+                bad |= ~kept[prefix[:i] + (one,) + prefix[i + 1:]]
+        if hit & bad:
+            return False, prefix + (lowest(hit & bad),)
     return True, None
 
 
 def _sq_eval(ring, members, rad, weak):
-    g, n, zero = ring.g, ring.n, ring.zero
-    sq = _squares(ring)
-    for t in itertools.product(range(ring.size), repeat=n):
-        v = g[t]
-        if v not in members or (weak and v == zero):
-            continue
-        if not any(sq[t[i]] in members or _drop(ring, t, i) in rad for i in range(n)):
-            return False, t
-    return True, None
+    """Tuples with an entry whose square lies in the ideal pass."""
+    squares = _squares(ring)
+    values = members - {ring.zero} if weak else members
+    return tuple_scan(ring, values,
+                      [x for x in ring.carrier if squares[x] not in members],
+                      rad)
 
 
 # -- absorbing predicates ---------------------------------------------------
 
-class _Products(dict):
-    """Per-scan cache: sub-tuple -> its identity-padded g-product."""
+class _Folds(dict):
+    """Per-scan cache: a tuple of length l(n-1)+1 -> its left-nested
+    g-fold, where a 1-tuple folds to its entry.  A miss costs one g lookup
+    on the cached fold of the tuple without its last n-1 entries."""
 
     def __init__(self, ring):
-        super().__init__()
-        self.ring = ring
+        super().__init__(((x,), x) for x in ring.carrier)
+        self.g, self.cut = ring.g, 1 - ring.n
 
-    def __missing__(self, t):
-        out = self[t] = g_product(self.ring, t)
+    def __missing__(self, q):
+        out = self[q] = self.g[(self[q[:self.cut]],) + q[self.cut:]]
         return out
 
 
-def _iter_qualifying(ring, members, length, sorted_only=False):
-    """Tuples over R \\ members of the given length whose left-nested
-    g-product lies in members.
+def _entries(s):
+    """prefix -> its entries at the positions s, as a tuple."""
+    if len(s) == 1:
+        i, = s
+        return lambda t: (t[i],)
+    return itemgetter(*s)
 
-    Tuples with an entry in the ideal satisfy every absorbing-type
-    condition automatically (any index subset through that entry has its
-    product absorbed into the ideal), so they are skipped.  With
-    sorted_only (sound for symmetric per-tuple conditions when g is
-    commutative) only non-decreasing tuples are produced; the first one
-    found is still the lexicographically first overall, since the sorted
-    permutation of any qualifying tuple is lexicographically least.
+
+def _absorbing_scan(ring, members, lead, target, k, ordered):
+    """(True, None), or (False, t) for the first tuple t of length
+    k(n-1)+1 over R \\ members whose g-fold lies in members while no index
+    subset of size (k-1)(n-1)+1 passes: the leading subset passes when its
+    product lies in lead, every other one when its product lies in target.
+    (A tuple with an entry in the ideal passes every such condition.)
+
+    A subset without the last position settles the whole prefix; one with
+    it clears its sub-prefix's row of target.  Unless ordered, only
+    non-decreasing tuples are scanned, which is sound for a symmetric
+    condition on a commutative g.
     """
-    g, n = ring.g, ring.n
-    outside = [x for x in ring.carrier if x not in members]
-    if not outside:
-        return
-    if sorted_only and ring.commutative_g:
-        tuples = itertools.combinations_with_replacement(outside, length)
-        if length == n:
-            yield from (t for t in tuples if g[t] in members)
-            return
-        products = _Products(ring)
-        # neighbouring tuples share all but their last n-1 entries, so the
-        # product of that head comes from the cache
-        head = length - (n - 1)
-        for t in tuples:
-            if g[(products[t[:head]],) + t[head:]] in members:
-                yield t
-        return
-    steps = (length - n) // (n - 1)
-    last_blocks = list(itertools.product(outside, repeat=n - 1))
-    first_blocks = itertools.product(outside, repeat=n)
-
-    def extend(prefix, acc, remaining):
-        if remaining == 1:
-            for blk in last_blocks:
-                if g[(acc,) + blk] in members:
-                    yield prefix + blk
-            return
-        for blk in last_blocks:
-            yield from extend(prefix + blk, g[(acc,) + blk], remaining - 1)
-
-    for first in first_blocks:
-        acc = g[first]
-        if steps == 0:
-            if acc in members:
-                yield first
+    n, g = ring.n, ring.g
+    length = k * (n - 1) + 1
+    small = length - n + 1
+    # subsets of one entry (k = 1) are padded with the identity
+    pad = (ring.one,) * (n - 1) if k == 1 else ()
+    subsets = list(itertools.combinations(range(length), small))
+    leaving = [_entries(s) for s in subsets[1:] if s[-1] < length - 1]
+    holding = [_entries(s[:-1]) for s in subsets
+               if s[-1] == length - 1 and k > 1]
+    outside = complement(ring, members)
+    rows, hits = row_masks(ring, members), row_masks(ring, target)
+    folds = _Folds(ring)
+    h = small - n + 1    # a (sub-)prefix folds to h, then one g step
+    # at k = 1 the subset of the last entry alone is one fixed mask
+    fixed = mask_of(c for c in outside
+                    if k == 1 and folds[(c,) + pad] in target)
+    if ordered:
+        prefixes = itertools.product(outside, repeat=length - 1)
+        allowed = dict.fromkeys(outside, mask_of(outside) & ~fixed)
+    else:
+        prefixes = itertools.combinations_with_replacement(outside, length - 1)
+        allowed = {x: mask_of(c for c in outside if c >= x) & ~fixed
+                   for x in outside}
+    for prefix in prefixes:
+        if k == 1:
+            head = folds[prefix[:1] + pad]    # the leading subset's product
+            key = prefix
         else:
-            yield from extend(first, acc, steps)
-
-
-def _picks(length, small):
-    """One getter per index subset of the given size, in combinations
-    order; each returns that sub-tuple of a tuple, a 1-tuple included."""
-    if small == 1:
-        return [lambda t, i=i: (t[i],) for i in range(length)]
-    return [itemgetter(*s) for s in itertools.combinations(range(length), small)]
+            head = g[(folds[prefix[:h]],) + prefix[h:small]]
+            key = (head,) + prefix[small:]
+        hit = rows[key] & allowed[prefix[-1]]
+        if not hit or head in lead:
+            continue
+        if leaving and any(folds[get(prefix) + pad] in target
+                           for get in leaving):
+            continue
+        for get in holding:
+            q = get(prefix)
+            hit &= ~hits[(folds[q[:h]],) + q[h:]]
+        if hit:
+            return False, prefix + (lowest(hit),)
+    return True, None
 
 
 def _kn_absorbing_eval(ring, members, target, k):
     """Every qualifying tuple of the ideal has some small-subset product
     in target: the ideal itself for (k,n)-absorbing, its radical for the
     tuple characterization of (k,n)-absorbing q-primary."""
-    length = k * (ring.n - 1) + 1
-    picks = _picks(length, (k - 1) * (ring.n - 1) + 1)
-    products = _Products(ring)
-    # the per-tuple condition is permutation-invariant, so sorted tuples
-    # suffice on a commutative g
-    for t in _iter_qualifying(ring, members, length, sorted_only=True):
-        if not any(products[pick(t)] in target for pick in picks):
-            return False, t
-    return True, None
+    # the condition is permutation-invariant, so sorted tuples suffice on
+    # a commutative g
+    return _absorbing_scan(ring, members, target, target, k,
+                           not ring.commutative_g)
 
 
 def _kn_absorbing_primary_eval(ring, members, rad, k):
-    length = k * (ring.n - 1) + 1
-    leading, *others = _picks(length, (k - 1) * (ring.n - 1) + 1)
-    products = _Products(ring)
-    for t in _iter_qualifying(ring, members, length):
-        if products[leading(t)] in members:
-            continue
-        if not any(products[pick(t)] in rad for pick in others):
-            return False, t
-    return True, None
+    return _absorbing_scan(ring, members, members, rad, k, True)
 
 
 # -- memoised outcomes --------------------------------------------------------
@@ -214,12 +190,13 @@ def _kn_absorbing_q_primary_eval(ring, members, k):
 
 # predicate name -> evaluator(ring, members, k), giving (ok, witness)
 _EVALUATORS = {
-    "prime": lambda ring, p, k: _is_prime_set(ring, p),
-    "weakly_prime": lambda ring, p, k: _weakly_prime_eval(ring, p),
+    "prime": lambda ring, p, k: tuple_scan(ring, p, complement(ring, p)),
+    "weakly_prime": lambda ring, p, k: tuple_scan(
+        ring, p - {ring.zero}, complement(ring, p)),
     "primary": lambda ring, p, k: _primary_eval(
         ring, p, radical_by_primes(ring, p)),
-    "weakly_primary": lambda ring, p, k: _weakly_primary_eval(
-        ring, p, radical_by_primes(ring, p)),
+    "weakly_primary": lambda ring, p, k: tuple_scan(
+        ring, p - {ring.zero}, complement(ring, p), radical_by_primes(ring, p)),
     "q_primary": _q_primary_eval,
     "sq_primary": lambda ring, p, k: _sq_eval(
         ring, p, radical_by_primes(ring, p), weak=False),

@@ -62,9 +62,9 @@ class HyperringTable:
     indices; g maps every ordered n-tuple to a single index.  Tables are
     total.  Instances are treated as immutable after construction and are
     hashed by identity.  `memo` holds all data derived from the table
-    (ideal lattice, absorption index, radicals, predicate outcomes and
-    records, quotients, subhyperrings, and products with the table as
-    first factor, keyed by the second), so it is released with the table.
+    (ideal lattice, absorption index, row masks, radicals, outcomes and
+    records of predicates, quotients, subhyperrings, and products with the
+    table as first factor, keyed by the second), released with the table.
     A failed computation stores nothing, so it fails again when repeated.
     """
 

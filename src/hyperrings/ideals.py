@@ -242,11 +242,56 @@ def brute_force_hyperideals(ring):
     return _canonical_order(out)
 
 
-def _is_prime_set(ring, members):
-    g = ring.g
-    for t in itertools.product(range(ring.size), repeat=ring.n):
-        if g[t] in members and not any(x in members for x in t):
-            return False, t
+def row_masks(ring, members):
+    """For each (n-1)-tuple key, the bitmask of the c with g(key, c) in
+    members.  Built in one pass over the g table and memoised in the
+    ring's memo, keyed by the member set."""
+    key = ("rows", members)
+    try:
+        return ring.memo[key]
+    except KeyError:
+        pass
+    out = ring.memo[key] = _row_masks(ring, members)
+    return out
+
+
+def _row_masks(ring, members):
+    out = dict.fromkeys(itertools.product(ring.carrier, repeat=ring.n - 1), 0)
+    for t, v in ring.g.items():
+        if v in members:
+            out[t[:-1]] |= 1 << t[-1]
+    return out
+
+
+def complement(ring, members):
+    return [x for x in ring.carrier if x not in members]
+
+
+def mask_of(elements):
+    return sum(1 << x for x in elements)
+
+
+def lowest(mask):
+    """The least element of a non-empty bitmask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def tuple_scan(ring, values, rest, rad=frozenset()):
+    """(True, None), or (False, t) for the first n-tuple t over rest, in
+    product order, whose g-value lies in values and none of whose drops
+    (an entry replaced by the identity) has its g-value in rad.  Each
+    prefix settles its row of last entries at once; the witness takes the
+    least entry left, since the last entry varies fastest."""
+    rows, kept = row_masks(ring, values), row_masks(ring, rad)
+    g, one, allowed = ring.g, ring.one, mask_of(rest)
+    for prefix in itertools.product(rest, repeat=ring.n - 1):
+        if g[prefix + (one,)] in rad:
+            continue
+        hit = rows[prefix] & allowed
+        for i in range(len(prefix)):
+            hit &= ~kept[prefix[:i] + (one,) + prefix[i + 1:]]
+        if hit:
+            return False, prefix + (lowest(hit),)
     return True, None
 
 
@@ -261,7 +306,8 @@ def prime_hyperideals(ring):
 
 def _prime_hyperideals(ring):
     return [p for p in enumerate_hyperideals(ring)
-            if p.proper and _is_prime_set(ring, p.members)[0]]
+            if p.proper
+            and tuple_scan(ring, p.members, complement(ring, p.members))[0]]
 
 
 def _members_of(ideal_or_set):

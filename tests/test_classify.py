@@ -1,7 +1,9 @@
 import importlib
 import itertools
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperrings.classify import (InternalInconsistencyError, classify,
                                  is_kn_absorbing, is_kn_absorbing_primary,
@@ -9,7 +11,7 @@ from hyperrings.classify import (InternalInconsistencyError, classify,
                                  is_primary, is_q_primary, is_sq_primary,
                                  is_weakly_primary, is_weakly_prime,
                                  is_wsq_primary)
-from hyperrings.core import g_product
+from hyperrings.core import HyperringTable, g_product
 from hyperrings.corpus import document_text
 from hyperrings.documents import parse_document
 from hyperrings.ideals import (ImproperIdealError, ideal_from_labels,
@@ -18,6 +20,9 @@ from hyperrings.ideals import (ImproperIdealError, ideal_from_labels,
 from hyperrings.theorems import run_theorem
 
 from conftest import mutate
+from strategies import corruptions
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # the package re-exports the classify function under the submodule's name
 classify_module = importlib.import_module("hyperrings.classify")
@@ -100,18 +105,63 @@ class TestQPrimary:
         assert not is_q_primary(ideal_from_labels(G, "0,6"))
 
 
-def brute_kn_absorbing(ring, members, k):
-    """Definition-level oracle: every (kn-k+1)-tuple whose g-product lies
-    in the set has a (k-1)n-k+2 index subset whose product lies in it."""
+# -- definition-level oracles ------------------------------------------------
+# Each returns the first tuple, in product order, that violates its
+# predicate, or None; classify's evaluators must return that tuple as
+# their witness.
+
+# the predicates whose condition exempts a zero g-value
+WEAK = ("weakly_prime", "weakly_primary", "wsq_primary")
+
+
+def brute_n_tuple(ring, name, members, rad):
+    """The n-tuple predicates, straight from their definitions."""
+    g, one = ring.g, ring.one
+    square = [g_product(ring, (x, x)) for x in ring.carrier]
+    for t in itertools.product(range(ring.size), repeat=ring.n):
+        v = g[t]
+        if v not in members or (name in WEAK and v == ring.zero):
+            continue
+        inside = [x in members for x in t]
+        dropped = [g[t[:i] + (one,) + t[i + 1:]] in rad for i in range(ring.n)]
+        passes = {
+            "prime": any(inside),
+            "weakly_prime": any(inside),
+            "primary": all(a or b for a, b in zip(inside, dropped)),
+            "weakly_primary": any(inside) or any(dropped),
+            "sq_primary": any(square[x] in members for x in t) or any(dropped),
+            "wsq_primary": any(square[x] in members for x in t) or any(dropped),
+        }[name]
+        if not passes:
+            return t
+    return None
+
+
+def absorbing_tuples(ring, members, k, ordered=True):
+    """The (kn-k+1)-tuples over R \\ members, in product order.  A tuple
+    with an entry in a hyperideal passes every absorbing condition, since
+    an index subset through that entry has its product in the hyperideal.
+    Unless ordered, only non-decreasing tuples are tried, as classify does
+    when g is declared commutative."""
+    outside = [x for x in ring.carrier if x not in members]
+    length = k * (ring.n - 1) + 1
+    if ordered:
+        return itertools.product(outside, repeat=length)
+    return itertools.combinations_with_replacement(outside, length)
+
+
+def brute_kn_absorbing(ring, members, target, k, ordered=True):
+    """A (kn-k+1)-tuple fails when its g-product lies in the set and no
+    (k-1)n-k+2 index subset has its product in target."""
     length = k * (ring.n - 1) + 1
     small = (k - 1) * (ring.n - 1) + 1
-    for t in itertools.product(range(ring.size), repeat=length):
+    for t in absorbing_tuples(ring, members, k, ordered):
         if g_product(ring, t) not in members:
             continue
-        if not any(g_product(ring, [t[i] for i in s]) in members
+        if not any(g_product(ring, [t[i] for i in s]) in target
                    for s in itertools.combinations(range(length), small)):
-            return False
-    return True
+            return t
+    return None
 
 
 class TestAbsorbing:
@@ -130,14 +180,14 @@ class TestAbsorbing:
         for ring in (G, H, G_mod_06):
             for p in proper_hyperideals(ring):
                 for k in (2, 3):
-                    assert (is_kn_absorbing(p, k)
-                            == brute_kn_absorbing(ring, p.members, k)), (
+                    assert is_kn_absorbing(p, k) == (brute_kn_absorbing(
+                        ring, p.members, p.members, k) is None), (
                         ring.name, p.render(), k)
 
     def test_06_outcome_frozen(self, G):
-        # golden value, computed by the exhaustive 216-triple scan
+        # golden value, computed by the exhaustive triple scan
         p = ideal_from_labels(G, "0,6")
-        assert brute_kn_absorbing(G, p.members, 2) is True
+        assert brute_kn_absorbing(G, p.members, p.members, 2) is None
         assert is_kn_absorbing(p, 2)
 
     def test_bad_k(self, G):
@@ -176,15 +226,12 @@ class TestAbsorbingQPrimary:
         assert is_kn_absorbing_q_primary(p, 2) == is_kn_absorbing(p, 2)
 
     def test_classify_matches_predicate(self, corpus):
-        # the witness is the radical's own (k,n)-absorbing witness; on the
-        # 36-element GxG only k=2 is checked, since classify(p, 3) spends
-        # about a minute there in the k=3 absorbing-primary scan
+        # the witness is the radical's own (k,n)-absorbing witness
         for ring in corpus:
-            k_max = 2 if ring.size > 8 else 3
             for p in proper_hyperideals(ring):
-                record = classify(p, k_max)
+                record = classify(p, 3)
                 rad = radical_by_primes(ring, p)
-                for k in range(2, k_max + 1):
+                for k in (2, 3):
                     name = f"absorbing_q_primary_k{k}"
                     ok = is_kn_absorbing_q_primary(p, k)
                     assert record.outcomes[name] == ok, (ring.name, p.render())
@@ -195,7 +242,7 @@ class TestAbsorbingQPrimary:
                     else:
                         rad_ideal = make_hyperideal(ring, rad, strict=False)
                         assert (record.witnesses[name] == classify(
-                            rad_ideal, k_max).witnesses[f"absorbing_k{k}"])
+                            rad_ideal, 3).witnesses[f"absorbing_k{k}"])
 
     def test_disagreement_raises(self, monkeypatch):
         # a freshly parsed G, so that no memo keyed by it is warm; the
@@ -221,20 +268,20 @@ class TestAbsorbingQPrimary:
 
 
 def brute_kn_absorbing_primary(ring, members, rad, k):
-    """Definition-level oracle: every (kn-k+1)-tuple whose g-product lies
-    in the set has its leading (k-1)n-k+2 product in the set or another
-    index subset's product in the radical."""
+    """A (kn-k+1)-tuple fails when its g-product lies in the set, its
+    leading (k-1)n-k+2 product does not, and no other index subset has its
+    product in the radical."""
     length = k * (ring.n - 1) + 1
     small = (k - 1) * (ring.n - 1) + 1
     others = list(itertools.combinations(range(length), small))[1:]
-    for t in itertools.product(range(ring.size), repeat=length):
+    for t in absorbing_tuples(ring, members, k):
         if g_product(ring, t) not in members:
             continue
         if g_product(ring, t[:small]) in members:
             continue
         if not any(g_product(ring, [t[i] for i in s]) in rad for s in others):
-            return False
-    return True
+            return t
+    return None
 
 
 class TestAbsorbingOracles:
@@ -246,13 +293,14 @@ class TestAbsorbingOracles:
             for p in proper_hyperideals(ring):
                 rad = radical_by_primes(ring, p)
                 where = (ring.name, p.render(), k)
-                assert (is_kn_absorbing(p, k)
-                        == brute_kn_absorbing(ring, p.members, k)), where
-                assert (is_kn_absorbing_primary(p, k)
-                        == brute_kn_absorbing_primary(ring, p.members, rad, k)), where
+                assert is_kn_absorbing(p, k) == (brute_kn_absorbing(
+                    ring, p.members, p.members, k) is None), where
+                assert is_kn_absorbing_primary(p, k) == (
+                    brute_kn_absorbing_primary(ring, p.members, rad, k)
+                    is None), where
                 assert is_kn_absorbing_q_primary(p, k) == (
                     len(rad) < ring.size
-                    and brute_kn_absorbing(ring, rad, k)), where
+                    and brute_kn_absorbing(ring, rad, rad, k) is None), where
 
     def test_k1_where_1_is_not_neutral(self, G_mod_06):
         # g(2+4, 1) = 1 here, so a product re-associated through 1 differs
@@ -262,8 +310,76 @@ class TestAbsorbingOracles:
         ring = mutate(ring, "G/{0,6}-corrupt",
                       g_overrides={(a, one): one, (one, a): one})
         p = make_hyperideal(ring, {ring.zero})
-        assert is_kn_absorbing(p, 1) == brute_kn_absorbing(ring, p.members, 1)
+        assert is_kn_absorbing(p, 1) == (
+            brute_kn_absorbing(ring, p.members, p.members, 1) is None)
         assert not is_kn_absorbing(p, 1)
+
+
+ORACLE_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                           database=None)
+
+
+def assert_witnesses_match(ring, ordered=True):
+    """Every tuple predicate's outcome and witness on every proper
+    hyperideal equal the brute oracle's."""
+    evaluate = classify_module._EVALUATORS
+    for p in proper_hyperideals(ring):
+        members, rad = p.members, radical_by_primes(ring, p)
+        expected = [(name, None, brute_n_tuple(ring, name, members, rad))
+                    for name in ("prime", "weakly_prime", "primary",
+                                 "weakly_primary", "sq_primary", "wsq_primary")]
+        for k in (1, 2, 3):
+            expected += [
+                ("absorbing", k,
+                 brute_kn_absorbing(ring, members, members, k, ordered)),
+                ("absorbing_primary", k,
+                 brute_kn_absorbing_primary(ring, members, rad, k)),
+                ("absorbing_q_primary_tuples", k,
+                 brute_kn_absorbing(ring, members, rad, k, ordered)),
+            ]
+        for name, k, t in expected:
+            assert evaluate[name](ring, members, k) == (t is None, t), (
+                ring.name, p.render(), name, k)
+
+
+class TestWitnessOracles:
+    """The row scans against the definitions, witnesses included, at k = 1,
+    2 and 3.  On a valid commutative table the oracles scan ordered tuples,
+    so the sorted scan's witness is certified to be the lexicographically
+    first one.  A corrupted table keeps g declared commutative, so there
+    the absorbing scans stay on sorted tuples and the oracles follow."""
+
+    def test_builtin(self, G, H, G_mod_06):
+        for ring in (G, H, G_mod_06):
+            assert_witnesses_match(ring)
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_folds(self, folds, which):
+        assert_witnesses_match(folds[which])
+
+    def test_ordered_path(self, G):
+        ring = HyperringTable("G-ordered", G.m, G.n, G.labels, G.zero, G.one,
+                              G.f, G.g, commutative_g=False)
+        assert_witnesses_match(ring)
+
+    def test_fold_where_1_is_not_neutral(self, folds):
+        # g(2,2,1) = 3 on the (2,3) fold, where 2.2 = 4 in G, so a fold that
+        # re-associates through 1 differs from the left fold of g itself
+        ring = folds[1]
+        two, one = ring.index("2"), ring.one
+        ring = mutate(ring, "G^(2,3)-corrupt",
+                      g_overrides={(two, two, one): ring.index("3")})
+        assert_witnesses_match(ring, ordered=False)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_corrupted_g(self, G, data):
+        assert_witnesses_match(data.draw(corruptions(G)), ordered=False)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_corrupted_h(self, H, data):
+        assert_witnesses_match(data.draw(corruptions(H)), ordered=False)
 
 
 class TestSqPrimary:
@@ -344,6 +460,16 @@ class TestClassify:
     def test_improper_raises(self, G):
         with pytest.raises(ImproperIdealError):
             classify(make_hyperideal(G, G.full_set))
+
+    def test_gxg_k3_golden(self, GxG):
+        # pins the ordered k = 3 scans' witnesses on the largest table;
+        # made with the element-wise scans that the row scans replaced
+        lines = []
+        for p in proper_hyperideals(GxG):
+            lines.append("ideal: " + p.render())
+            lines.extend(classify(p, 3).render_lines())
+        golden = (GOLDEN / "classify_gxg_k3.txt").read_text()
+        assert "\n".join(lines) + "\n" == golden
 
 
 class TestImplicationScope:

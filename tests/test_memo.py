@@ -62,6 +62,25 @@ class TestMemoIdentity:
         assert direct_product(Q, G) is not product
 
 
+def test_row_masks_sit_only_in_their_table_memo():
+    G, other = fresh_g(), fresh_g()
+    p = ideal_from_labels(G, "0,4")
+    classify(p, 3)
+    classify(ideal_from_labels(other, "0,4"), 3)
+    keys = [key for key in G.memo if key[0] == "rows"]
+    assert ("rows", p.members) in keys
+    assert ("rows", radical_by_primes(G, p)) in keys
+    for key in keys:
+        rows = G.memo[key]
+        assert rows == {t[:-1]: sum(1 << c for c in G.carrier
+                                    if G.g[t[:-1] + (c,)] in key[1])
+                        for t in G.g}
+        # no module-level cache or other table holds them
+        assert rows is not other.memo[key]
+        assert [r for r in gc.get_referrers(rows)
+                if isinstance(r, dict)] == [G.memo]
+
+
 class TestFailedCallsStoreNothing:
     @staticmethod
     def raises_twice(ring, exc, call, match=None):
