@@ -61,10 +61,9 @@ def _primary_eval(ring, members, rad):
 def _sq_eval(ring, members, rad, weak):
     """Tuples with an entry whose square lies in the ideal pass."""
     squares = _squares(ring)
-    values = members - {ring.zero} if weak else members
-    return tuple_scan(ring, values,
+    return tuple_scan(ring, members,
                       [x for x in ring.carrier if squares[x] not in members],
-                      rad)
+                      rad, weak)
 
 
 # -- absorbing predicates ---------------------------------------------------
@@ -192,11 +191,11 @@ def _kn_absorbing_q_primary_eval(ring, members, k):
 _EVALUATORS = {
     "prime": lambda ring, p, k: tuple_scan(ring, p, complement(ring, p)),
     "weakly_prime": lambda ring, p, k: tuple_scan(
-        ring, p - {ring.zero}, complement(ring, p)),
+        ring, p, complement(ring, p), weak=True),
     "primary": lambda ring, p, k: _primary_eval(
         ring, p, radical_by_primes(ring, p)),
     "weakly_primary": lambda ring, p, k: tuple_scan(
-        ring, p - {ring.zero}, complement(ring, p), radical_by_primes(ring, p)),
+        ring, p, complement(ring, p), radical_by_primes(ring, p), weak=True),
     "q_primary": _q_primary_eval,
     "sq_primary": lambda ring, p, k: _sq_eval(
         ring, p, radical_by_primes(ring, p), weak=False),

@@ -152,34 +152,26 @@ def _quotient(ring, q_members):
     proj = tuple(cls_index[cls_of[r]] for r in ring.carrier)
     labels = ["+".join(ring.labels[i] for i in sorted(c)) for c in classes]
 
-    fq = {}
-    for key in itertools.product(range(len(classes)), repeat=m):
-        value = None
-        for reps in itertools.product(*[sorted(classes[i]) for i in key]):
-            got = frozenset(proj[t] for t in ring.f[reps])
-            if value is None:
-                value = got
-            elif got != value:
-                raise IllDefinedQuotientError(
-                    f"induced f ill-defined at classes ({','.join(labels[i] for i in key)}): "
-                    f"representatives ({ring.tuple_label(reps)}) give a different value")
-        fq[key] = value
-    gq = {}
-    for key in itertools.product(range(len(classes)), repeat=n):
-        value = None
-        for reps in itertools.product(*[sorted(classes[i]) for i in key]):
-            got = proj[ring.g[reps]]
-            if value is None:
-                value = got
-            elif got != value:
-                raise IllDefinedQuotientError(
-                    f"induced g ill-defined at classes ({','.join(labels[i] for i in key)}): "
-                    f"representatives ({ring.tuple_label(reps)}) give a different value")
-        gq[key] = value
+    image = {v: frozenset(proj[t] for t in v) for v in set(ring.f.values())}
+    induced = {}
+    for name, table, arity, project in (("f", ring.f, m, image), ("g", ring.g, n, proj)):
+        induced[name] = {}
+        for key in itertools.product(range(len(classes)), repeat=arity):
+            value = None
+            for reps in itertools.product(*[sorted(classes[i]) for i in key]):
+                got = project[table[reps]]
+                if value is None:
+                    value = got
+                elif got != value:
+                    raise IllDefinedQuotientError(
+                        f"induced {name} ill-defined at classes ({','.join(labels[i] for i in key)}): "
+                        f"representatives ({ring.tuple_label(reps)}) give a different value")
+            induced[name][key] = value
 
     out = HyperringTable(
         name=f"{ring.name}/{ring.subset_label(q_members)}", m=m, n=n,
-        labels=labels, zero=proj[ring.zero], one=proj[ring.one], f=fq, g=gq,
+        labels=labels, zero=proj[ring.zero], one=proj[ring.one],
+        f=induced["f"], g=induced["g"],
         commutative_f=ring.commutative_f, commutative_g=ring.commutative_g)
     out.validation = validate_krasner(out)
     return out, Homomorphism(ring, out, proj)
@@ -261,8 +253,8 @@ def is_subhyperring(ring, members):
     return not subhyperring_violations(ring, members)
 
 
-def _subring_closure(ring, seed):
-    return worklist_closure(ring, seed, False)
+def _subring_closure(ring, seed, base=frozenset()):
+    return worklist_closure(ring, seed, False, base)
 
 
 def enumerate_subhyperrings(ring):

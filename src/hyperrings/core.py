@@ -6,7 +6,7 @@ A structure is a finite carrier together with an m-ary hyperoperation f
 for g, and a scalar identity for g.  Everything here works on explicit
 tables, and every axiom is certified by a scan over all tuples.
 
-For the costly axioms (associativity of f and g, distributivity) a
+For the costly axioms (associativity, reversibility, distributivity) a
 validation call first lays both tables out flat, in `itertools.product`
 order: `F` holds each f-value as an int bitmask of its members, `G` each
 g-value as an int.  The last argument then varies fastest, so the values
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
 
 class ArityError(ValueError):
@@ -62,9 +62,9 @@ class HyperringTable:
     indices; g maps every ordered n-tuple to a single index.  Tables are
     total.  Instances are treated as immutable after construction and are
     hashed by identity.  `memo` holds all data derived from the table
-    (ideal lattice, absorption index, row masks, radicals, outcomes and
-    records of predicates, quotients, subhyperrings, and products with the
-    table as first factor, keyed by the second), released with the table.
+    (ideal lattice, absorption index, value rows, row masks, radicals,
+    outcomes and records of predicates, quotients, subhyperrings, products
+    with the table as first factor, keyed by the second), released with it.
     A failed computation stores nothing, so it fails again when repeated.
     """
 
@@ -346,11 +346,31 @@ def _check_inverses(ring, out):
     return ok
 
 
-def _check_reversibility(ring, out):
-    m = ring.m
-    f = ring.f
-    inv = [min(ring.inverses(x)) for x in range(ring.size)]
-    for args in itertools.product(range(ring.size), repeat=m):
+def _check_reversibility(ring, F, out):
+    # x in f(args) needs args[i] in f(x, q), q the inverses of the other
+    # args: f(args) avoids outside[q][args[i]], the x whose f(x, q) lacks
+    # args[i].  Whole lines of F over args[i] (rows when i is last) are
+    # compared; failing tuples are expanded entry by entry to report.
+    m, s, f = ring.m, ring.size, ring.f
+    inv = [min(ring.inverses(x)) for x in range(s)]
+    width = s ** (m - 1)
+    outside = [[-1] * s for _ in range(width)]
+    for k, t in enumerate(itertools.product(range(s), repeat=m)):
+        for a in f[t]:
+            outside[k % width][a] &= ~(1 << t[0])
+    lifted = inv    # the other args' index -> their inverses' index
+    for _ in range(m - 2):
+        lifted = [k * s + y for k in lifted for y in inv]
+    failing = set()
+    for i in range(m):
+        stride = s ** (m - 1 - i)
+        for rest, q in enumerate(lifted):
+            base = rest // stride * stride * s + rest % stride
+            misses = list(map(and_, F[base:base + s * stride:stride], outside[q]))
+            if any(misses):
+                failing.update(base + a * stride for a, miss in enumerate(misses) if miss)
+    for k in sorted(failing):
+        args = _digits(s, k, m)
         for x in f[args]:
             for i in range(m):
                 rest = tuple(inv[args[j]] for j in range(m) if j != i)
@@ -382,7 +402,7 @@ def _check_canonical_hypergroup(ring, F, out):
     _check_zero_neutral(ring, out)
     inverses_ok = _check_inverses(ring, out)
     if entries_ok and inverses_ok:
-        _check_reversibility(ring, out)
+        _check_reversibility(ring, F, out)
 
 
 def _check_g_associativity(ring, G, out):

@@ -8,10 +8,12 @@ elements some g-power of which lands in the ideal.  On every corpus
 structure the two must agree; the test suite enforces it.
 
 Closures are worklists: each round handles only the elements new in that
-round, so every f- or g-tuple is evaluated once per closure.  Absorption
-reads a per-table index, built once from the g table, that holds for each
-element the g-values of every n-tuple containing it.  A subset is a
-hyperideal exactly when its closure adds nothing, and that is how
+round, so every f- or g-tuple is evaluated once per closure, and a join
+of two closed sets starts from the larger.  The lattice search joins only
+the pairs with a set new in the round before.  Per-table indexes of g
+give for each element the g-values of every n-tuple containing it (for
+absorption), and the value rows that row masks are unions of.  A subset
+is a hyperideal exactly when its closure adds nothing, and that is how
 `make_hyperideal`, `generated_by` and `quotient_sets` decide it;
 `hyperideal_violations` names the broken invariants for error messages
 and serves as the test oracle.
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .core import ArityError, g_power, g_product
 
@@ -144,20 +148,21 @@ def _touching(old, new, every, arity):
         for i in range(arity))
 
 
-def worklist_closure(ring, seed, absorbing):
-    """Least superset of seed | {0} closed under f, the inverses, and
-    either absorption under g (a hyperideal) or g itself (a subhyperring).
+def worklist_closure(ring, seed, absorbing, base=frozenset()):
+    """Least superset of seed | base | {0} closed under f, the inverses,
+    and either absorption under g (a hyperideal) or g itself (a
+    subhyperring), for a base that is already closed.
 
     Each round only processes the elements that are new in that round:
     their inverses and absorption sets, and f (or g) on the tuples over
     the members that contain at least one new element.  Every tuple is
-    therefore evaluated once over the whole closure.
+    therefore evaluated once, and one over the base alone never: the
+    rules are Horn rules, so the closed base yields nothing on its own.
     """
     f, g, m, n = ring.f, ring.g, ring.m, ring.n
     absorb = absorption_index(ring) if absorbing else None
-    members = set()
-    new = set(seed)
-    new.add(ring.zero)
+    members = set(base)
+    new = (set(seed) | {ring.zero}) - members
     while new:
         old = list(members)
         members |= new
@@ -175,9 +180,9 @@ def worklist_closure(ring, seed, absorbing):
     return frozenset(members)
 
 
-def ideal_closure(ring, seed):
-    """Smallest hyperideal containing the seed (least fixpoint)."""
-    return worklist_closure(ring, seed, True)
+def ideal_closure(ring, seed, base=frozenset()):
+    """Smallest hyperideal holding the seed and a hyperideal base."""
+    return worklist_closure(ring, seed, True, base)
 
 
 def _canonical_order(sets):
@@ -185,26 +190,23 @@ def _canonical_order(sets):
 
 
 def closed_sets(ring, closure):
-    """Every set closed under a closure operator on the carrier.
+    """Every set closed under closure(ring, seed, base), the least closed
+    set holding seed and the closed set base.
 
     Each closed set is the join (closure of the union) of the closures of
     its elements, so closing the singleton closures under binary joins
-    yields the whole lattice, in canonical order.  Its least element is
-    the closure of {0}, not {0} itself, which a broken table need not keep
-    closed.
+    yields the whole lattice, in canonical order.  A round joins only the
+    pairs with a set new in the round before, closing the smaller onto the
+    larger.  The least element is the closure of {0}, not {0} itself,
+    which a broken table need not keep closed.
     """
-    found = {closure(ring, frozenset([x])) for x in ring.carrier}
-    while True:
-        fresh = set()
-        for a, b in itertools.combinations(found, 2):
-            if a <= b or b <= a:
-                continue
-            j = closure(ring, a | b)
-            if j not in found:
-                fresh.add(j)
-        if not fresh:
-            break
-        found |= fresh
+    found = set()
+    new = {closure(ring, frozenset([x])) for x in ring.carrier}
+    while new:
+        pairs = [*itertools.product(new, found), *itertools.combinations(new, 2)]
+        found |= new
+        new = {closure(ring, *sorted(pair, key=len)) for pair in pairs
+               if not (pair[0] <= pair[1] or pair[1] <= pair[0])} - found
     return _canonical_order(found)
 
 
@@ -242,10 +244,28 @@ def brute_force_hyperideals(ring):
     return _canonical_order(out)
 
 
+def value_rows(ring):
+    """For each (n-1)-tuple key, the list over values v of the bitmask of
+    the c with g(key, c) = v: one pass over the g table, memoised."""
+    try:
+        return ring.memo["value_rows"]
+    except KeyError:
+        pass
+    out = ring.memo["value_rows"] = _value_rows(ring)
+    return out
+
+
+def _value_rows(ring):
+    out = {key: [0] * ring.size
+           for key in itertools.product(ring.carrier, repeat=ring.n - 1)}
+    for t, v in ring.g.items():
+        out[t[:-1]][v] |= 1 << t[-1]
+    return out
+
+
 def row_masks(ring, members):
     """For each (n-1)-tuple key, the bitmask of the c with g(key, c) in
-    members.  Built in one pass over the g table and memoised in the
-    ring's memo, keyed by the member set."""
+    members, a union of value rows, memoised by the member set."""
     key = ("rows", members)
     try:
         return ring.memo[key]
@@ -256,11 +276,8 @@ def row_masks(ring, members):
 
 
 def _row_masks(ring, members):
-    out = dict.fromkeys(itertools.product(ring.carrier, repeat=ring.n - 1), 0)
-    for t, v in ring.g.items():
-        if v in members:
-            out[t[:-1]] |= 1 << t[-1]
-    return out
+    return {key: reduce(or_, map(row.__getitem__, members), 0)
+            for key, row in value_rows(ring).items()}
 
 
 def complement(ring, members):
@@ -276,18 +293,20 @@ def lowest(mask):
     return (mask & -mask).bit_length() - 1
 
 
-def tuple_scan(ring, values, rest, rad=frozenset()):
+def tuple_scan(ring, members, rest, rad=frozenset(), weak=False):
     """(True, None), or (False, t) for the first n-tuple t over rest, in
-    product order, whose g-value lies in values and none of whose drops
-    (an entry replaced by the identity) has its g-value in rad.  Each
-    prefix settles its row of last entries at once; the witness takes the
-    least entry left, since the last entry varies fastest."""
-    rows, kept = row_masks(ring, values), row_masks(ring, rad)
+    product order, whose g-value lies in members, and is not zero when
+    weak, and none of whose drops (an entry replaced by the identity) has
+    its g-value in rad.  Each prefix settles its row of last entries at
+    once; the witness takes the least entry left, since the last entry
+    varies fastest."""
+    rows, kept = row_masks(ring, members), row_masks(ring, rad)
+    zeros = row_masks(ring, frozenset([ring.zero]) if weak else frozenset())
     g, one, allowed = ring.g, ring.one, mask_of(rest)
     for prefix in itertools.product(rest, repeat=ring.n - 1):
         if g[prefix + (one,)] in rad:
             continue
-        hit = rows[prefix] & allowed
+        hit = rows[prefix] & allowed & ~zeros[prefix]
         for i in range(len(prefix)):
             hit &= ~kept[prefix[:i] + (one,) + prefix[i + 1:]]
         if hit:

@@ -1,14 +1,20 @@
-"""Worklist closures and fixpoint tests against the round-by-round reference.
+"""Worklist closures, lattice searches, row masks and fixpoint tests
+against their references.
 
 `ideal_closure` and the subhyperring closure only process the elements
-that are new in each round, and the hyperideal test of `generated_by`,
-`quotient_sets` and `make_hyperideal` is "the closure adds nothing".  The
-two functions below are the closures they replaced, kept verbatim as the
-reference: every round re-scans all tuples over the members and, for
-absorption, every n-tuple with a member in some position.  Closures must
-be equal on every seed, and the fixpoint tests must agree with
-`is_hyperideal`, on the small built-in structures (the deviant H
-included), on the three folds of G and on randomly corrupted tables.
+that are new in each round, and may start from a closed base; the
+hyperideal test of `generated_by`, `quotient_sets` and `make_hyperideal`
+is "the closure adds nothing".  The two closures below are the ones they
+replaced, kept verbatim as the reference: every round re-scans all tuples
+over the members and, for absorption, every n-tuple with a member in some
+position.  `reference_closed_sets` is the lattice search `closed_sets`
+replaced, also verbatim: every round joins every pair found so far, each
+from scratch.  Closures must be equal on every seed and base, lattices
+must be equal in order, row masks must match their definition, and the
+fixpoint tests must agree with `is_hyperideal`, on the small built-in
+structures (the deviant H included), on the three folds of G and on
+randomly corrupted tables; the lattices are compared on the whole
+built-in corpus.
 """
 import itertools
 
@@ -16,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from hyperrings.construct import (_subring_closure, enumerate_subhyperrings,
                                   is_subhyperring)
-from hyperrings.ideals import (brute_force_hyperideals, enumerate_hyperideals,
+from hyperrings.ideals import (_canonical_order, brute_force_hyperideals,
+                               closed_sets, enumerate_hyperideals,
                                generated_by, ideal_closure, is_hyperideal,
-                               make_hyperideal, quotient_sets)
+                               make_hyperideal, quotient_sets, row_masks)
 
 from conftest import mutate
 from strategies import corruptions
@@ -67,6 +74,34 @@ def reference_subring_closure(ring, seed):
         members |= added
 
 
+def reference_closed_sets(ring, closure):
+    """Every set closed under a closure operator on the carrier.
+
+    Each closed set is the join (closure of the union) of the closures of
+    its elements, so closing the singleton closures under binary joins
+    yields the whole lattice, in canonical order.  Its least element is
+    the closure of {0}, not {0} itself, which a broken table need not keep
+    closed.
+    """
+    found = {closure(ring, frozenset([x])) for x in ring.carrier}
+    while True:
+        fresh = set()
+        for a, b in itertools.combinations(found, 2):
+            if a <= b or b <= a:
+                continue
+            j = closure(ring, a | b)
+            if j not in found:
+                fresh.add(j)
+        if not fresh:
+            break
+        found |= fresh
+    return _canonical_order(found)
+
+
+CLOSURES = [(ideal_closure, reference_ideal_closure),
+            (_subring_closure, reference_subring_closure)]
+
+
 # -- checks -------------------------------------------------------------------
 
 def seeds(ring):
@@ -80,6 +115,47 @@ def assert_same_closures(ring):
             (ring.name, sorted(seed))
         assert _subring_closure(ring, seed) == reference_subring_closure(ring, seed), \
             (ring.name, sorted(seed))
+
+
+def adjoin_zero(ring, seed, base=frozenset()):
+    return frozenset(seed) | base | {ring.zero}
+
+
+def assert_same_lattices(ring):
+    """Both searches agree for both closures and, on small carriers, for
+    adjoining zero.  Every hyperideal and subhyperring of the corpus and
+    the folds joins two singleton closures, so their searches end after
+    one round of joins; under adjoining zero every subset holding zero is
+    closed, and the search takes a round per doubling of the joins."""
+    closures = [ideal_closure, _subring_closure]
+    if ring.size <= 6:
+        closures.append(adjoin_zero)
+    for closure in closures:
+        assert closed_sets(ring, closure) == \
+            reference_closed_sets(ring, closure), (ring.name, closure.__name__)
+
+
+def assert_closures_from_a_base(ring):
+    """A closure started from a closed base is the reference closure of
+    the seed and the base together."""
+    for closure, reference in CLOSURES:
+        for base in closed_sets(ring, closure):
+            for seed in seeds(ring):
+                assert closure(ring, seed, base) == reference(ring, seed | base), \
+                    (ring.name, closure.__name__, sorted(base), sorted(seed))
+
+
+def assert_row_masks_by_definition(ring):
+    """row_masks, read off the value rows, against the definition."""
+    subsets = ([p.members for p in enumerate_hyperideals(ring)]
+               + [frozenset(), frozenset([ring.zero])]
+               + [frozenset([x]) for x in ring.carrier])
+    for members in subsets:
+        assert row_masks(ring, members) == {
+            key: sum(1 << c for c in ring.carrier
+                     if ring.g[key + (c,)] in members)
+            for key in itertools.product(ring.carrier, repeat=ring.n - 1)
+        }, (ring.name, sorted(members))
 
 
 def assert_fixpoint_tests_agree(ring):
@@ -118,6 +194,23 @@ def test_fixpoint_tests_on_small_structures(corpus, folds):
         assert_fixpoint_tests_agree(ring)
 
 
+def test_closures_from_a_base_on_small_structures(corpus, folds):
+    for ring in small_structures(corpus, folds):
+        assert_closures_from_a_base(ring)
+
+
+def test_lattices_on_the_corpus_and_folds(corpus, folds):
+    rings = list(corpus) + folds
+    assert any(ring.name == "GxG" for ring in rings)
+    for ring in rings:
+        assert_same_lattices(ring)
+
+
+def test_row_masks_on_the_corpus_and_folds(corpus, folds):
+    for ring in list(corpus) + folds:
+        assert_row_masks_by_definition(ring)
+
+
 def test_some_seeds_are_not_closed(G, H):
     # the fixpoint tests must see both answers, on a valid and a deviant table
     for ring in (G, H):
@@ -152,6 +245,9 @@ def test_zero_alone_not_closed(G):
 def test_corrupted_g(G, data):
     ring = data.draw(corruptions(G))
     assert_same_closures(ring)
+    assert_closures_from_a_base(ring)
+    assert_same_lattices(ring)
+    assert_row_masks_by_definition(ring)
     assert_fixpoint_tests_agree(ring)
     assert_lattice_is_brute_force(ring)
 
@@ -161,5 +257,8 @@ def test_corrupted_g(G, data):
 def test_corrupted_h(H, data):
     ring = data.draw(corruptions(H))
     assert_same_closures(ring)
+    assert_closures_from_a_base(ring)
+    assert_same_lattices(ring)
+    assert_row_masks_by_definition(ring)
     assert_fixpoint_tests_agree(ring)
     assert_lattice_is_brute_force(ring)

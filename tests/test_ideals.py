@@ -58,8 +58,8 @@ class TestEnumeration:
         # on the corpus and the folds every hyperideal and subhyperring is
         # the closure of one element; adjoining zero is a closure whose
         # closed sets the search reaches only through its joins
-        def adjoin_zero(ring, seed):
-            return frozenset(seed) | {ring.zero}
+        def adjoin_zero(ring, seed, base=frozenset()):
+            return frozenset(seed) | base | {ring.zero}
 
         rest = [x for x in G.carrier if x != G.zero]
         every = [frozenset(c) | {G.zero}

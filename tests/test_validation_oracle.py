@@ -1,9 +1,10 @@
 """Row-wise axiom scans against the element-wise reference.
 
-`validate_krasner` runs the associativity and distributivity scans on
-flat tables, one row over the last argument at a time.  The three
-functions below are the element-wise scans it replaced, kept verbatim as
-the reference: every tuple is evaluated on its own.  The reports must be
+`validate_krasner` runs the associativity, reversibility and
+distributivity scans on flat tables, one row (or strided line) of values
+at a time.  The four functions below are the element-wise scans it
+replaced, kept verbatim as the reference: every tuple is evaluated on its
+own.  The reports must be
 equal violation by violation, in order, on the built-in corpus, on folds
 of G to other arities, and on randomly corrupted tables.
 """
@@ -12,7 +13,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from hyperrings import core
-from hyperrings.core import Violation, validate_krasner
+from hyperrings.core import HyperringTable, Violation, validate_krasner
 
 from strategies import corruptions
 
@@ -75,6 +76,22 @@ def _check_distributivity(ring, out):
                         ring.subset_label(right), ring.subset_label(left)))
 
 
+def _check_reversibility(ring, out):
+    m = ring.m
+    f = ring.f
+    inv = [min(ring.inverses(x)) for x in range(ring.size)]
+    for args in itertools.product(range(ring.size), repeat=m):
+        for x in f[args]:
+            for i in range(m):
+                rest = tuple(inv[args[j]] for j in range(m) if j != i)
+                if args[i] not in f[(x,) + rest]:
+                    out.append(Violation(
+                        "reversibility",
+                        f"{ring.label(x)} in f({ring.tuple_label(args)}), i={i + 1}",
+                        f"{ring.label(args[i])} in f({ring.tuple_label((x,) + rest)})",
+                        ring.subset_label(f[(x,) + rest])))
+
+
 def reference_violations(ring):
     """validate_krasner's axiom order, with the reference scans."""
     out = []
@@ -86,7 +103,7 @@ def reference_violations(ring):
     core._check_zero_neutral(ring, out)
     inverses_ok = core._check_inverses(ring, out)
     if entries_ok and inverses_ok:
-        core._check_reversibility(ring, out)
+        _check_reversibility(ring, out)
     core._check_commutative(ring, ring.g, ring.n, "g-commutativity",
                             ring.label, out)
     _check_g_associativity(ring, out)
@@ -121,6 +138,27 @@ def test_folds_of_g(folds):
     for ring in folds:
         assert_same_report(ring)
         assert validate_krasner(ring).passed
+
+
+def test_reversibility_alone():
+    # f is commutative and associative with scalar zero and unique
+    # inverses (a and b), but a in f(b,b) while b is not in f(a,a).  No
+    # (2,2)-table of up to four elements breaks reversibility and no other
+    # Krasner axiom, so distributivity fails here too.
+    sums = {(1, 1): {1}, (1, 2): {0, 1, 2}, (2, 2): {1, 2}}
+    f = {}
+    for x in range(3):
+        f[(0, x)] = f[(x, 0)] = {x}
+    for (x, y), value in sums.items():
+        f[(x, y)] = f[(y, x)] = value
+    g = {(x, y): 0 if 0 in (x, y) else y if x == 1 else x if y == 1 else 1
+         for x in range(3) for y in range(3)}
+    ring = HyperringTable("irreversible", 2, 2, ["0", "a", "b"], 0, 1, f, g)
+    hypergroup = core.validate_canonical_hypergroup(ring).violations
+    assert {v.axiom for v in hypergroup} == {"reversibility"}
+    assert [v.witness for v in hypergroup] == ["a in f(b,b), i=1",
+                                               "a in f(b,b), i=2"]
+    assert_same_report(ring)
 
 
 # -- random corruptions ---------------------------------------------------
