@@ -14,7 +14,7 @@ the pairs with a set new in the round before.  Per-table indexes of g
 give for each element the g-values of every n-tuple containing it (for
 absorption), and the value rows that row masks are unions of.  A subset
 is a hyperideal exactly when its closure adds nothing, and that is how
-`make_hyperideal`, `generated_by` and `quotient_sets` decide it;
+`make_hyperideal` and `generated_by` decide it;
 `hyperideal_violations` names the broken invariants for error messages
 and serves as the test oracle.
 """
@@ -68,12 +68,13 @@ def hyperideal_violations(ring, members):
     if ring.zero not in members:
         out.append("zero missing")
     f = ring.f
-    for t in itertools.product(sorted(members), repeat=ring.m):
+    order = sorted(members)
+    for t in itertools.product(order, repeat=ring.m):
         if not f[t] <= members:
             out.append(f"not f-closed at ({ring.tuple_label(t)}): "
                        f"{ring.subset_label(f[t])}")
             break
-    for x in sorted(members):
+    for x in order:
         if not ring.inverses(x) <= members:
             out.append(f"inverse of {ring.label(x)} missing")
             break
@@ -82,7 +83,7 @@ def hyperideal_violations(ring, members):
     hit = None
     for i in range(n):
         for amb in itertools.product(range(ring.size), repeat=n - 1):
-            for s in members:
+            for s in order:
                 t = amb[:i] + (s,) + amb[i:]
                 if g[t] not in members:
                     hit = t
@@ -413,7 +414,6 @@ class IdealSetPair:
     anchor: int
     p_r: frozenset
     a_r: frozenset
-    p_r_is_ideal: bool
 
 
 def quotient_sets(ring, ideal, r):
@@ -421,7 +421,7 @@ def quotient_sets(ring, ideal, r):
     products = [g_product(ring, (r, a)) for a in ring.carrier]
     p_r = frozenset(a for a, v in enumerate(products) if v in members)
     a_r = frozenset(a for a, v in enumerate(products) if v == ring.zero)
-    return IdealSetPair(r, p_r, a_r, ideal_closure(ring, p_r) == p_r)
+    return IdealSetPair(r, p_r, a_r)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,14 @@
 
 Each registered checker quantifies a theorem's hypothesis over everything
 available in the given structures (hyperideals, elements, bounded families,
-products built on demand, quotient projections, subhyperrings) and records
-violations of the conclusion.  A report is vacuous when nothing satisfied
-the hypothesis; vacuity is reported, never hidden.
+products built on demand, quotient projections, subhyperrings).  A checker
+is a generator: for every instance that satisfies the hypothesis it yields
+`(ring, failures)`, where failures lists the violations of the conclusion
+as detail strings, empty when the conclusion holds, and is rendered only
+on failure (`_unless`).  One driver, `_run`, turns the yields into a
+`TheoremReport`: one instance per yield, each failure prefixed with the
+ring's name.  A report is vacuous when nothing satisfied the hypothesis;
+vacuity is reported, never hidden.
 
 Desk-scale bounds: on-demand products are capped at 36 elements (triples at
 27), quotient-based monomorphisms at source size 8, and subhyperring
@@ -14,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import and_
 
 from .classify import (_IMPLICATIONS, _outcome, _squares, classify,
                        is_kn_absorbing_primary, is_kn_absorbing_q_primary,
@@ -25,7 +32,7 @@ from .construct import (Homomorphism, direct_product,
                         preimage_ideal, product_ideal, product_pack,
                         quotient, subhyperring_table)
 from .core import g_product, validate_krasner
-from .ideals import (Hyperideal, enumerate_hyperideals, hyperideal_product,
+from .ideals import (enumerate_hyperideals, hyperideal_product,
                      generated_by, make_hyperideal, proper_hyperideals,
                      quotient_sets, radical_by_primes, radical_by_powers)
 
@@ -79,7 +86,7 @@ class _Harness:
         self.structures = _admit(structures)
         self.k = k
 
-    # -- shared pools -----------------------------------------------------
+    # -- shared pools, built on first use ---------------------------------
 
     def _product_worthy(self):
         # theorem hypotheses presuppose a nonzero scalar identity and the
@@ -88,34 +95,41 @@ class _Harness:
         return [r for r in self.structures
                 if r.size > 1 and r.validation.passed]
 
-    @property
+    @cached_property
+    def ideals(self):
+        """(ring, P) for every proper hyperideal P of every structure."""
+        return [(ring, p) for ring in self.structures
+                for p in proper_hyperideals(ring)]
+
+    @cached_property
     def pairs(self):
         """Unordered factor pairs with an on-demand product structure."""
-        if not hasattr(self, "_pairs"):
-            out = []
-            seen = set()
-            pool = self._product_worthy()
-            for i, r1 in enumerate(pool):
-                for r2 in pool[i:]:
-                    if (r1.m, r1.n) != (r2.m, r2.n):
-                        continue
-                    if r1.size * r2.size > MAX_PAIR_PRODUCT:
-                        continue
-                    key = (id(r1), id(r2))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append((r1, r2, direct_product(r1, r2)))
-            self._pairs = out
-        return self._pairs
-
-    def quotients(self, ring):
-        """(Q, quotient table, projection) for every proper hyperideal Q."""
         out = []
-        for qid in proper_hyperideals(ring):
-            table, proj = quotient(ring, qid)
-            out.append((qid, table, proj))
+        seen = set()
+        pool = self._product_worthy()
+        for i, r1 in enumerate(pool):
+            for r2 in pool[i:]:
+                if (r1.m, r1.n) != (r2.m, r2.n):
+                    continue
+                if r1.size * r2.size > MAX_PAIR_PRODUCT:
+                    continue
+                key = (id(r1), id(r2))
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append((r1, r2, direct_product(r1, r2)))
         return out
+
+    def quotient_ideals(self):
+        """(ring, Q, quotient table, projection, P) for every pair of
+        proper hyperideals Q inside P."""
+        for ring in self.structures:
+            propers = proper_hyperideals(ring)
+            for q in propers:
+                table, proj = quotient(ring, q)
+                for p in propers:
+                    if q.members <= p.members:
+                        yield ring, q, table, proj, p
 
     def subrings(self, ring):
         out = []
@@ -131,96 +145,78 @@ class _Harness:
         return ",".join(r.name for r in self.structures)
 
 
-def _fail(report, ring, detail):
-    report.failures.append(f"{ring.name}: {detail}")
+def _unless(ok, detail):
+    """An instance's failures: none when ok, else the rendered detail."""
+    return [] if ok else [detail()]
+
+
+def _intersection(family):
+    return reduce(and_, (p.members for p in family))
 
 
 # -- section 2: q-primary and absorbing q-primary ---------------------------
 
-def _check_2_3(h, report):
+def _check_2_3(h):
     for r1, r2, rp in h.pairs:
         for p in proper_hyperideals(rp):
-            report.instances += 1
             lhs = is_q_primary(p)
-            rhs = _product_form_q(h, r1, r2, rp, p)
-            if lhs != rhs:
-                _fail(report, rp,
-                      f"ideal {p.render()}: q_primary={lhs} but product form={rhs}")
+            split = _split(r2, p.members)
+            rhs = split is not None and _one_proper_q_primary(zip((r1, r2), split))
+            yield rp, _unless(lhs == rhs, lambda: (
+                f"ideal {p.render()}: q_primary={lhs} but product form={rhs}"))
 
 
-def _split_product_ideal(r1, r2, rp, p):
-    """Factor an ideal of a product; None when it is not a product set."""
-    m1 = frozenset(e // r2.size for e in p.members)
-    m2 = frozenset(e % r2.size for e in p.members)
-    if len(m1) * len(m2) != len(p.members):
+def _split(r2, members):
+    """Factor a member set of a product whose second factor is r2; None
+    when it is not a product set."""
+    m1 = frozenset(e // r2.size for e in members)
+    m2 = frozenset(e % r2.size for e in members)
+    if len(m1) * len(m2) != len(members):
         return None
-    if any(product_pack(r2, a, b) not in p.members for a in m1 for b in m2):
+    if any(product_pack(r2, a, b) not in members for a in m1 for b in m2):
         return None
     return m1, m2
 
 
-def _product_form_q(h, r1, r2, rp, p):
-    split = _split_product_ideal(r1, r2, rp, p)
-    if split is None:
-        return False
-    m1, m2 = split
-    if len(m2) == r2.size and len(m1) < r1.size:
-        return is_q_primary(make_hyperideal(r1, m1))
-    if len(m1) == r1.size and len(m2) < r2.size:
-        return is_q_primary(make_hyperideal(r2, m2))
-    return False
+def _one_proper_q_primary(parts):
+    """Whether exactly one (factor, member set) part is proper, and that
+    part is a q-primary hyperideal of its factor."""
+    propers = [(r, m) for r, m in parts if len(m) < r.size]
+    return len(propers) == 1 and is_q_primary(make_hyperideal(*propers[0]))
 
 
-def _check_2_4(h, report):
-    triples = []
+def _check_2_4(h):
     for combo in itertools.combinations_with_replacement(h._product_worthy(), 3):
         r1, r2, r3 = combo
         if len({(r.m, r.n) for r in combo}) != 1:
             continue
         if r1.size * r2.size * r3.size > MAX_TRIPLE_PRODUCT:
             continue
-        triples.append(combo)
-    for r1, r2, r3 in triples:
         r12 = direct_product(r1, r2)
         rp = direct_product(r12, r3)
         for p in proper_hyperideals(rp):
-            report.instances += 1
             lhs = is_q_primary(p)
-            split = _split_product_ideal(r12, r3, rp, p)
-            rhs = False
-            if split is not None:
-                m12, m3 = split
-                split12 = _split_product_ideal(
-                    r1, r2, r12, Hyperideal(r12, m12, True))
-                if split12 is not None:
-                    parts = [(r1, split12[0]), (r2, split12[1]), (r3, m3)]
-                    propers = [(r, m) for r, m in parts if len(m) < r.size]
-                    if len(propers) == 1:
-                        r_u, m_u = propers[0]
-                        rhs = is_q_primary(make_hyperideal(r_u, m_u))
-            if lhs != rhs:
-                _fail(report, rp,
-                      f"ideal {p.render()}: q_primary={lhs} but t-fold form={rhs}")
+            split = _split(r3, p.members)
+            split12 = split and _split(r2, split[0])
+            rhs = split12 is not None and _one_proper_q_primary(
+                zip(combo, (*split12, split[1])))
+            yield rp, _unless(lhs == rhs, lambda: (
+                f"ideal {p.render()}: q_primary={lhs} but t-fold form={rhs}"))
 
 
-def _check_2_6(h, report):
+def _check_2_6(h):
     k = h.k
-    for ring in h.structures:
-        for p in proper_hyperideals(ring):
-            if is_q_primary(p):
-                report.instances += 1
-                if not is_kn_absorbing_q_primary(p, k):
-                    _fail(report, ring,
-                          f"{p.render()} q-primary but not ({k},n)-absorbing q-primary")
-            if is_kn_absorbing_primary(p, k):
-                report.instances += 1
-                if not is_kn_absorbing_q_primary(p, k):
-                    _fail(report, ring,
-                          f"{p.render()} ({k},n)-absorbing primary but not "
-                          f"({k},n)-absorbing q-primary")
+    for ring, p in h.ideals:
+        if is_q_primary(p):
+            yield ring, _unless(is_kn_absorbing_q_primary(p, k), lambda: (
+                f"{p.render()} q-primary but not ({k},n)-absorbing q-primary"))
+        if is_kn_absorbing_primary(p, k):
+            yield ring, _unless(is_kn_absorbing_q_primary(p, k), lambda: (
+                f"{p.render()} ({k},n)-absorbing primary but not "
+                f"({k},n)-absorbing q-primary"))
 
 
-def _check_2_7(h, report):
+def _check_2_7(h):
     k = h.k
     for ring in h.structures:
         by_radical = {}
@@ -232,103 +228,90 @@ def _check_2_7(h, report):
                 continue
             for size in (2, 3):
                 for family in itertools.combinations(ideals, size):
-                    report.instances += 1
-                    inter = family[0].members
-                    for p in family[1:]:
-                        inter &= p.members
-                    got = radical_by_primes(ring, inter)
-                    if got != rad or not _outcome(ring, got, "absorbing", k)[0]:
-                        _fail(report, ring,
-                              f"intersection of {[p.render() for p in family]} "
-                              f"has radical {ring.subset_label(got)}, not "
-                              f"{ring.subset_label(rad)}-absorbing-q-primary")
+                    got = radical_by_primes(ring, _intersection(family))
+                    ok = got == rad and _outcome(ring, got, "absorbing", k)[0]
+                    yield ring, _unless(ok, lambda: (
+                        f"intersection of {[p.render() for p in family]} "
+                        f"has radical {ring.subset_label(got)}, not "
+                        f"{ring.subset_label(rad)}-absorbing-q-primary"))
 
 
-def _check_2_8(h, report):
+def _check_2_8(h):
     k = h.k
-    for ring in h.structures:
-        for p in proper_hyperideals(ring):
-            rad = radical_by_primes(ring, p)
-            if len(rad) == ring.size:
-                continue
-            report.instances += 1
-            direct = _outcome(ring, rad, "absorbing", k)[0]
-            via = _outcome(ring, p.members, "absorbing_q_primary_tuples", k)[0]
-            if direct != via:
-                _fail(report, ring,
-                      f"{p.render()}: radical characterization={direct} but "
-                      f"tuple characterization={via}")
+    for ring, p in h.ideals:
+        rad = radical_by_primes(ring, p)
+        if len(rad) == ring.size:
+            continue
+        direct = _outcome(ring, rad, "absorbing", k)[0]
+        via = _outcome(ring, p.members, "absorbing_q_primary_tuples", k)[0]
+        yield ring, _unless(direct == via, lambda: (
+            f"{p.render()}: radical characterization={direct} but "
+            f"tuple characterization={via}"))
 
 
-def _check_2_9(h, report):
+def _check_2_9(h):
     k = h.k
-    for ring in h.structures:
-        variants = {f"u>n variant (u={ring.n + 1})": ring.n + 1,
-                    f"u>k variant (u={k + 1})": k + 1}
-        for p in proper_hyperideals(ring):
-            if not is_kn_absorbing_q_primary(p, k):
-                continue
-            report.instances += 1
-            rad = radical_by_primes(ring, p)
-            for tag, u in variants.items():
-                if not _outcome(ring, rad, "absorbing", u)[0]:
-                    _fail(report, ring,
-                          f"{p.render()} ({k},n)-absorbing q-primary but not "
-                          f"({u},n)-absorbing q-primary [{tag}]")
+    for ring, p in h.ideals:
+        if not is_kn_absorbing_q_primary(p, k):
+            continue
+        rad = radical_by_primes(ring, p)
+        variants = ((f"u>n variant (u={ring.n + 1})", ring.n + 1),
+                    (f"u>k variant (u={k + 1})", k + 1))
+        yield ring, [f"{p.render()} ({k},n)-absorbing q-primary but not "
+                     f"({u},n)-absorbing q-primary [{tag}]"
+                     for tag, u in variants
+                     if not _outcome(ring, rad, "absorbing", u)[0]]
 
 
 # -- section 3: sq-primary ---------------------------------------------------
 
-def _check_3_3(h, report):
+def _check_3_3(h):
+    for ring, p in h.ideals:
+        if is_sq_primary(p):
+            yield ring, _unless(is_q_primary(p), lambda: (
+                f"{p.render()} sq-primary but not q-primary"))
+
+
+def _check_3_4(h):
+    for ring, p in h.ideals:
+        rad = radical_by_primes(ring, p)
+        square = hyperideal_product(ring, [rad, rad])
+        if square.ideal.members <= p.members and is_q_primary(p):
+            yield ring, _unless(is_sq_primary(p), lambda: (
+                f"{p.render()} q-primary with squared radical inside "
+                f"it but not sq-primary"))
+
+
+def _check_3_5(h):
     for ring in h.structures:
-        for p in proper_hyperideals(ring):
-            if is_sq_primary(p):
-                report.instances += 1
-                if not is_q_primary(p):
-                    _fail(report, ring, f"{p.render()} sq-primary but not q-primary")
+        principal = (generated_by(ring, x) for x in ring.carrier)
+        if all(gen.raw_is_ideal and gen.ideal.proper and is_sq_primary(gen.ideal)
+               for gen in principal):
+            yield ring, [f"all principal ideals sq-primary but {p.render()} is not"
+                         for p in proper_hyperideals(ring) if not is_sq_primary(p)]
 
 
-def _check_3_4(h, report):
+def _square_or_drop(ring, squares, family, p, rad):
+    """Thm 3.7's conclusion: for some i, the squares of the i-th ideal lie
+    in P, or the product with the i-th ideal dropped lies in rad P."""
+    for i in range(ring.n):
+        if all(squares[x] in p.members for x in family[i].members):
+            return True
+        rest = [sorted(family[j].members) for j in range(ring.n) if j != i]
+        if frozenset(ring.g[t[:i] + (ring.one,) + t[i:]]
+                     for t in itertools.product(*rest)) <= rad:
+            return True
+    return False
+
+
+def _check_3_7(h):
     for ring in h.structures:
-        for p in proper_hyperideals(ring):
-            rad = radical_by_primes(ring, p)
-            square = hyperideal_product(ring, [rad, rad])
-            if square.ideal.members <= p.members and is_q_primary(p):
-                report.instances += 1
-                if not is_sq_primary(p):
-                    _fail(report, ring,
-                          f"{p.render()} q-primary with squared radical inside "
-                          f"it but not sq-primary")
-
-
-def _check_3_5(h, report):
-    for ring in h.structures:
-        hyp = True
-        for x in ring.carrier:
-            gen = generated_by(ring, x)
-            ideal = gen.ideal if gen.raw_is_ideal else None
-            if ideal is None or not ideal.proper or not is_sq_primary(ideal):
-                hyp = False
-                break
-        if not hyp:
-            continue
-        report.instances += 1
-        for p in proper_hyperideals(ring):
-            if not is_sq_primary(p):
-                _fail(report, ring,
-                      f"all principal ideals sq-primary but {p.render()} is not")
-
-
-def _check_3_7(h, report):
-    for ring in h.structures:
-        ideals = enumerate_hyperideals(ring)
-        n = ring.n
         sq_ideals = [p for p in proper_hyperideals(ring) if is_sq_primary(p)]
         if not sq_ideals:
             continue
         squares = _squares(ring)
         families = []
-        for family in itertools.product(ideals, repeat=n):
+        for family in itertools.product(enumerate_hyperideals(ring), repeat=ring.n):
             prod = frozenset(
                 ring.g[t] for t in itertools.product(*[sorted(i.members)
                                                        for i in family]))
@@ -338,162 +321,125 @@ def _check_3_7(h, report):
             for family, prod in families:
                 if not prod <= p.members:
                     continue
-                report.instances += 1
-                ok = False
-                for i in range(n):
-                    if all(squares[x] in p.members for x in family[i].members):
-                        ok = True
-                        break
-                    rest = [sorted(family[j].members) for j in range(n) if j != i]
-                    dropped = frozenset(
-                        ring.g[t[:i] + (ring.one,) + t[i:]]
-                        for t in itertools.product(*rest))
-                    if dropped <= rad:
-                        ok = True
-                        break
-                if not ok:
-                    _fail(report, ring,
-                          f"sq-primary {p.render()} with ideal tuple "
-                          f"{[i.render() for i in family]} violating the conclusion")
+                ok = _square_or_drop(ring, squares, family, p, rad)
+                yield ring, _unless(ok, lambda: (
+                    f"sq-primary {p.render()} with ideal tuple "
+                    f"{[i.render() for i in family]} violating the conclusion"))
 
 
-def _check_3_8(h, report):
-    for ring in h.structures:
-        for p in proper_hyperideals(ring):
-            if not is_sq_primary(p):
+def _check_3_8(h):
+    for ring, p in h.ideals:
+        if not is_sq_primary(p):
+            continue
+        for r in ring.carrier:
+            if r in p.members:
                 continue
-            for r in ring.carrier:
-                if r in p.members:
-                    continue
-                square = g_product(ring, (r, r))
-                if generated_by(ring, r).raw != generated_by(ring, square).raw:
-                    continue
-                report.instances += 1
-                pair = quotient_sets(ring, p, r)
-                p_r = make_hyperideal(ring, pair.p_r, strict=False)
-                if not p_r.valid:
-                    _fail(report, ring,
-                          f"P_r of {p.render()} at r={ring.label(r)} "
-                          f"is not a hyperideal")
-                elif not is_sq_primary(p_r):
-                    _fail(report, ring,
-                          f"P_r={p_r.render()} of sq-primary {p.render()} at "
-                          f"r={ring.label(r)} is not sq-primary")
+            square = g_product(ring, (r, r))
+            if generated_by(ring, r).raw != generated_by(ring, square).raw:
+                continue
+            p_r = make_hyperideal(ring, quotient_sets(ring, p, r).p_r, strict=False)
+            yield ring, (
+                _unless(p_r.valid, lambda: (
+                    f"P_r of {p.render()} at r={ring.label(r)} "
+                    f"is not a hyperideal"))
+                or _unless(is_sq_primary(p_r), lambda: (
+                    f"P_r={p_r.render()} of sq-primary {p.render()} at "
+                    f"r={ring.label(r)} is not sq-primary")))
 
 
-def _check_3_9(h, report):
+def _check_3_9(h):
     for r1, r2, rp in h.pairs:
         for p1 in enumerate_hyperideals(r1):
             for p2 in enumerate_hyperideals(r2):
                 if not p1.proper and not p2.proper:
                     continue
                 pid = product_ideal(rp, r1, r2, p1.members, p2.members)
-                report.instances += 1
                 lhs = is_sq_primary(pid)
                 rhs = ((not p2.proper and p1.proper and is_sq_primary(p1))
                        or (not p1.proper and p2.proper and is_sq_primary(p2)))
-                if lhs != rhs:
-                    _fail(report, rp,
-                          f"{p1.render()} x {p2.render()}: sq={lhs} but "
-                          f"factor form={rhs}")
+                yield rp, _unless(lhs == rhs, lambda: (
+                    f"{p1.render()} x {p2.render()}: sq={lhs} but "
+                    f"factor form={rhs}"))
 
 
 # -- section 4: wsq-primary ---------------------------------------------------
 
-def _wsq_not_sq(h, ring):
+def _wsq_not_sq(ring):
     return [p for p in proper_hyperideals(ring)
             if is_wsq_primary(p) and not is_sq_primary(p)]
 
 
-def _check_4_4(h, report):
+def _check_4_4(h):
     for ring in h.structures:
         zero_ideal = frozenset({ring.zero})
-        for p in _wsq_not_sq(h, ring):
-            report.instances += 1
+        for p in _wsq_not_sq(ring):
             square = hyperideal_product(ring, [p, p])
-            if square.ideal.members != zero_ideal:
-                _fail(report, ring,
-                      f"wsq-not-sq {p.render()} has square "
-                      f"{ring.subset_label(square.ideal.members)} != <0>")
+            yield ring, _unless(square.ideal.members == zero_ideal, lambda: (
+                f"wsq-not-sq {p.render()} has square "
+                f"{ring.subset_label(square.ideal.members)} != <0>"))
 
 
-def _check_4_5(h, report):
+def _check_4_5(h):
     for ring in h.structures:
         rad_zero = radical_by_primes(ring, frozenset({ring.zero}))
-        for p in _wsq_not_sq(h, ring):
-            report.instances += 1
-            if radical_by_primes(ring, p) != rad_zero:
-                _fail(report, ring,
-                      f"wsq-not-sq {p.render()} has radical != radical(<0>)")
+        for p in _wsq_not_sq(ring):
+            yield ring, _unless(radical_by_primes(ring, p) == rad_zero, lambda: (
+                f"wsq-not-sq {p.render()} has radical != radical(<0>)"))
 
 
-def _check_4_6(h, report):
+def _check_4_6(h):
     for ring in h.structures:
-        pool = _wsq_not_sq(h, ring)
+        pool = _wsq_not_sq(ring)
         for size in (2, 3):
             for family in itertools.combinations(pool, size):
-                report.instances += 1
-                inter = family[0].members
-                for p in family[1:]:
-                    inter &= p.members
-                if not is_wsq_primary(make_hyperideal(ring, inter)):
-                    _fail(report, ring,
-                          f"intersection of {[p.render() for p in family]} "
-                          f"not wsq-primary")
+                inter = make_hyperideal(ring, _intersection(family))
+                yield ring, _unless(is_wsq_primary(inter), lambda: (
+                    f"intersection of {[p.render() for p in family]} "
+                    f"not wsq-primary"))
 
 
-def _check_4_7(h, report):
-    for ring in h.structures:
-        propers = proper_hyperideals(ring)
-        for p in propers:
-            if not is_weakly_primary(p):
+def _check_4_7(h):
+    for ring, p in h.ideals:
+        if not is_weakly_primary(p):
+            continue
+        for q in proper_hyperideals(ring):
+            if not p.members <= q.members:
                 continue
-            for q in propers:
-                if not p.members <= q.members:
-                    continue
-                report.instances += 1
-                prod = hyperideal_product(ring, [p, q])
-                if not is_wsq_primary(prod.ideal):
-                    _fail(report, ring,
-                          f"g({p.render()},{q.render()},1...) = "
-                          f"{prod.ideal.render()} not wsq-primary")
+            prod = hyperideal_product(ring, [p, q])
+            yield ring, _unless(is_wsq_primary(prod.ideal), lambda: (
+                f"g({p.render()},{q.render()},1...) = "
+                f"{prod.ideal.render()} not wsq-primary"))
 
 
-def _check_4_8(h, report):
-    for ring in h.structures:
-        for p in proper_hyperideals(ring):
-            if not is_weakly_primary(p):
-                continue
-            report.instances += 1
+def _check_4_8(h):
+    for ring, p in h.ideals:
+        if is_weakly_primary(p):
             prod = hyperideal_product(ring, [p, p])
-            if not is_wsq_primary(prod.ideal):
-                _fail(report, ring,
-                      f"square of weakly primary {p.render()} not wsq-primary")
+            yield ring, _unless(is_wsq_primary(prod.ideal), lambda: (
+                f"square of weakly primary {p.render()} not wsq-primary"))
 
 
-def _check_4_9(h, report):
-    for ring in h.structures:
-        for p in proper_hyperideals(ring):
-            report.instances += 1
-            lhs = is_wsq_primary(p)
-            rad = radical_by_primes(ring, p)
-            rhs = True
-            bad_r = None
-            for r in ring.carrier:
-                pair = quotient_sets(ring, p, r)
-                gen = generated_by(ring, r).raw
-                if gen <= pair.p_r or pair.p_r <= rad or pair.p_r <= pair.a_r:
-                    continue
-                rhs = False
-                bad_r = r
-                break
-            if lhs != rhs:
-                detail = (f" (r={ring.label(bad_r)})" if bad_r is not None else "")
-                _fail(report, ring,
-                      f"{p.render()}: wsq={lhs} but P_r trichotomy={rhs}{detail}")
+def _trichotomy(ring, p, rad, r):
+    """Thm 4.9's alternative at r: <r> inside P_r, or P_r inside rad P or
+    inside A_r."""
+    pair = quotient_sets(ring, p, r)
+    return (generated_by(ring, r).raw <= pair.p_r or pair.p_r <= rad
+            or pair.p_r <= pair.a_r)
 
 
-def _check_4_10(h, report):
+def _check_4_9(h):
+    for ring, p in h.ideals:
+        lhs = is_wsq_primary(p)
+        rad = radical_by_primes(ring, p)
+        bad_r = next((r for r in ring.carrier
+                      if not _trichotomy(ring, p, rad, r)), None)
+        rhs = bad_r is None
+        yield ring, _unless(lhs == rhs, lambda: (
+            f"{p.render()}: wsq={lhs} but P_r trichotomy={rhs}"
+            + (f" (r={ring.label(bad_r)})" if bad_r is not None else "")))
+
+
+def _check_4_10(h):
     for ring in h.structures:
         zero_ideal = frozenset({ring.zero})
         if radical_by_powers(ring, zero_ideal) != zero_ideal:
@@ -501,14 +447,13 @@ def _check_4_10(h, report):
         for p in proper_hyperideals(ring):
             if not is_wsq_primary(p):
                 continue
-            report.instances += 1
             rad = radical_by_primes(ring, p)
-            if len(rad) == ring.size:
-                _fail(report, ring, f"radical of wsq {p.render()} is improper")
-            elif not is_weakly_prime(make_hyperideal(ring, rad)):
-                _fail(report, ring,
-                      f"radical {ring.subset_label(rad)} of wsq {p.render()} "
-                      f"not weakly prime")
+            yield ring, (
+                _unless(len(rad) < ring.size, lambda: (
+                    f"radical of wsq {p.render()} is improper"))
+                or _unless(is_weakly_prime(make_hyperideal(ring, rad)), lambda: (
+                    f"radical {ring.subset_label(rad)} of wsq {p.render()} "
+                    f"not weakly prime")))
 
 
 def _monomorphisms(h):
@@ -523,78 +468,61 @@ def _monomorphisms(h):
     return out
 
 
-def _check_4_11(h, report):
+def _check_4_11(h):
     for source, target, hom in _monomorphisms(h):
         if not hom.injective:
             continue
         for p2 in proper_hyperideals(target):
             if not is_wsq_primary(p2):
                 continue
-            report.instances += 1
             pre = preimage_ideal(hom, p2)
-            if not pre.valid or not pre.proper or not is_wsq_primary(pre):
-                _fail(report, source,
-                      f"preimage {pre.render()} of wsq {p2.render()} "
-                      f"not wsq-primary")
-    for ring in h.structures:
-        for qid, table, proj in h.quotients(ring):
-            for p1 in proper_hyperideals(ring):
-                if not qid.members <= p1.members:
-                    continue
-                if not is_wsq_primary(p1):
-                    continue
-                report.instances += 1
-                img = image_ideal(proj, p1)
-                if not img.valid or not img.proper or not is_wsq_primary(img):
-                    _fail(report, ring,
-                          f"image of wsq {p1.render()} under projection onto "
-                          f"{table.name} not wsq-primary")
+            ok = pre.valid and pre.proper and is_wsq_primary(pre)
+            yield source, _unless(ok, lambda: (
+                f"preimage {pre.render()} of wsq {p2.render()} "
+                f"not wsq-primary"))
+    for ring, qid, table, proj, p1 in h.quotient_ideals():
+        if not is_wsq_primary(p1):
+            continue
+        img = image_ideal(proj, p1)
+        ok = img.valid and img.proper and is_wsq_primary(img)
+        yield ring, _unless(ok, lambda: (
+            f"image of wsq {p1.render()} under projection onto "
+            f"{table.name} not wsq-primary"))
 
 
-def _check_4_12(h, report):
-    for ring in h.structures:
-        for qid, table, proj in h.quotients(ring):
-            for p in proper_hyperideals(ring):
-                if not qid.members <= p.members:
-                    continue
-                img = image_ideal(proj, p)
-                if is_wsq_primary(p):
-                    report.instances += 1
-                    if not (img.proper and is_wsq_primary(img)):
-                        _fail(report, ring,
-                              f"{p.render()}/{qid.render()} not wsq-primary "
-                              f"in {table.name}")
-                if is_wsq_primary(qid) and img.proper and is_wsq_primary(img):
-                    report.instances += 1
-                    if not is_wsq_primary(p):
-                        _fail(report, ring,
-                              f"{qid.render()} and {p.render()}/{qid.render()} "
-                              f"wsq-primary but {p.render()} is not")
+def _check_4_12(h):
+    for ring, qid, table, proj, p in h.quotient_ideals():
+        img = image_ideal(proj, p)
+        if is_wsq_primary(p):
+            yield ring, _unless(img.proper and is_wsq_primary(img), lambda: (
+                f"{p.render()}/{qid.render()} not wsq-primary "
+                f"in {table.name}"))
+        if is_wsq_primary(qid) and img.proper and is_wsq_primary(img):
+            yield ring, _unless(is_wsq_primary(p), lambda: (
+                f"{qid.render()} and {p.render()}/{qid.render()} "
+                f"wsq-primary but {p.render()} is not"))
 
 
-def _check_4_13(h, report):
+def _check_4_13(h):
     for ring in h.structures:
         for members, sub in h.subrings(ring):
             for p in proper_hyperideals(ring):
                 if members <= p.members or not is_wsq_primary(p):
                     continue
-                report.instances += 1
                 inter = frozenset(sorted(members & p.members))
                 relabel = frozenset(sorted(members).index(x) for x in inter)
                 ideal = make_hyperideal(sub, relabel, strict=False)
-                if not ideal.valid or not is_wsq_primary(ideal):
-                    _fail(report, ring,
-                          f"{ring.subset_label(members)} intersect {p.render()} not "
-                          f"wsq-primary in the subhyperring")
+                yield ring, _unless(ideal.valid and is_wsq_primary(ideal), lambda: (
+                    f"{ring.subset_label(members)} intersect {p.render()} not "
+                    f"wsq-primary in the subhyperring"))
 
 
-def _check_4_15(h, report):
+def _check_4_15(h):
     for r1, r2, rp in h.pairs:
         for ring_a, ring_b, flip in ((r1, r2, False), (r2, r1, True)):
             if flip and ring_a is ring_b:
                 continue
             for p1 in proper_hyperideals(ring_a):
-                report.instances += 1
                 if flip:
                     pid = product_ideal(rp, r1, r2, r1.full_set, p1.members)
                 else:
@@ -602,13 +530,12 @@ def _check_4_15(h, report):
                 wsq = is_wsq_primary(pid)
                 sq = is_sq_primary(pid)
                 factor_sq = is_sq_primary(p1)
-                if not (wsq == sq == factor_sq):
-                    _fail(report, rp,
-                          f"{p1.render()} x full: wsq={wsq} sq={sq} "
-                          f"factor sq={factor_sq}")
+                yield rp, _unless(wsq == sq == factor_sq, lambda: (
+                    f"{p1.render()} x full: wsq={wsq} sq={sq} "
+                    f"factor sq={factor_sq}"))
 
 
-def _check_4_16(h, report):
+def _check_4_16(h):
     for r1, r2, rp in h.pairs:
         zero_pair = frozenset({rp.zero})
         for p1 in proper_hyperideals(r1):
@@ -616,17 +543,15 @@ def _check_4_16(h, report):
                 pid = product_ideal(rp, r1, r2, p1.members, p2.members)
                 if pid.members == zero_pair:
                     continue
-                report.instances += 1
                 wsq = is_wsq_primary(pid)
                 sq = is_sq_primary(pid)
                 # the paper's claim: with both factors proper the product
                 # is neither wsq- nor sq-primary.  It is refuted at n = 3:
                 # on G^(2,3), {0,4} x {0,3,6} is sq-primary (ROADMAP.md
                 # open item 1, the n >= 3 sq/wsq findings)
-                if wsq or sq:
-                    _fail(report, rp,
-                          f"{p1.render()} x {p2.render()} != <0> with both "
-                          f"factors proper but wsq={wsq} sq={sq}")
+                yield rp, _unless(not (wsq or sq), lambda: (
+                    f"{p1.render()} x {p2.render()} != <0> with both "
+                    f"factors proper but wsq={wsq} sq={sq}"))
 
 
 _REGISTRY = [
@@ -659,25 +584,28 @@ _REGISTRY = [
 THEOREM_IDS = [tid for tid, _, _ in _REGISTRY]
 
 
+def _run(h, theorem_id, title, checker):
+    """The report of one checker: one instance per yield, each failure
+    prefixed with the name of the ring it was found in."""
+    report = TheoremReport(theorem_id, title, h.scope_name())
+    for ring, failures in checker(h):
+        report.instances += 1
+        if failures:
+            report.failures.extend(f"{ring.name}: {d}" for d in failures)
+    return report
+
+
 def run_theorem(theorem_id, structures, k=2):
-    for tid, title, checker in _REGISTRY:
-        if tid == theorem_id:
-            h = _Harness(structures, k)
-            report = TheoremReport(tid, title, h.scope_name())
-            checker(h, report)
-            return report
+    for entry in _REGISTRY:
+        if entry[0] == theorem_id:
+            return _run(_Harness(structures, k), *entry)
     raise KeyError(f"unknown theorem id {theorem_id!r}; "
                    f"registered: {', '.join(THEOREM_IDS)}")
 
 
 def run_all(structures, k=2):
     h = _Harness(structures, k)
-    reports = []
-    for tid, title, checker in _REGISTRY:
-        report = TheoremReport(tid, title, h.scope_name())
-        checker(h, report)
-        reports.append(report)
-    return reports
+    return [_run(h, *entry) for entry in _REGISTRY]
 
 
 def summary_line(reports):

@@ -72,6 +72,26 @@ def folds(G, G33):
     return [G33, fold(G, 2, 3), fold(G, 3, 2)]
 
 
+@pytest.fixture(scope="session")
+def local16():
+    """The local ring F2[x,y,z]/(x,y,z)^2 as a Krasner (2,2)-hyperring with
+    singleton f.  Element i is the sum of the monomials 1, x, y, z whose
+    bits are set in i, labelled by concatenating them ("1xy" is 1+x+y).
+    Its maximal ideal (x,y,z) joins three principal ideals, so the lattice
+    search needs a second round of joins to find it."""
+    labels = ["".join(c for b, c in enumerate("1xyz") if i >> b & 1) or "0"
+              for i in range(16)]
+
+    def mul(a, b):
+        # (a0 + u)(b0 + v) = a0 b0 + a0 v + b0 u, since u v lies in (x,y,z)^2
+        return (a & b & 1) ^ (b & 14 if a & 1 else 0) ^ (a & 14 if b & 1 else 0)
+
+    pairs = list(itertools.product(range(16), repeat=2))
+    return HyperringTable("F2[x,y,z]/(x,y,z)^2", 2, 2, labels, 0, 1,
+                          {(a, b): {a ^ b} for a, b in pairs},
+                          {(a, b): mul(a, b) for a, b in pairs})
+
+
 def mutate(ring, name, f_overrides=None, g_overrides=None):
     """Copy of a table with some entries replaced."""
     f = dict(ring.f)

@@ -5,8 +5,8 @@ import pytest
 from hyperrings.ideals import (ImproperIdealError, brute_force_hyperideals,
                                closed_sets, enumerate_hyperideals,
                                generated_by, hyperideal_product,
-                               ideal_from_labels, is_hyperideal,
-                               jacobson_radical, make_hyperideal,
+                               hyperideal_violations, ideal_from_labels,
+                               is_hyperideal, jacobson_radical, make_hyperideal,
                                maximal_hyperideals, proper_hyperideals,
                                quotient_sets, radical_by_primes,
                                radical_by_powers)
@@ -22,6 +22,20 @@ class TestIsHyperideal:
 
     def test_zero_ideal(self, G):
         assert is_hyperideal(G, subset(G, "0"))
+
+    def test_witness_does_not_depend_on_set_construction(self, GxG):
+        listed = [GxG.index(x) for x in
+                  ("0_0", "0_1", "2_0", "3_3", "6_3", "6_4")]
+        filtered = frozenset(range(GxG.size)) & frozenset(listed)
+        violations = hyperideal_violations(GxG, listed)
+        assert violations[-1] == "not absorbing at g(3_3,0_1)=0_3"
+        assert hyperideal_violations(GxG, filtered) == violations
+        errors = []
+        for members in (listed, filtered):
+            with pytest.raises(ValueError) as info:
+                make_hyperideal(GxG, members)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
     def test_not_f_closed(self, G):
         # f(2,2)={0,4} leaves {0,2}
@@ -178,7 +192,7 @@ class TestQuotientSets:
         pair = quotient_sets(G, p, G.index("2"))
         assert pair.p_r == subset(G, "0", "2", "4", "6")
         assert pair.a_r == subset(G, "0", "6")
-        assert pair.p_r_is_ideal
+        assert make_hyperideal(G, pair.p_r, strict=False).valid
 
     def test_anchor_zero(self, G):
         p = ideal_from_labels(G, "0,4")

@@ -72,6 +72,23 @@ class TestRunAll:
         for report in run_all([ONE]):
             assert report.status in ("pass", "vacuous")
 
+    def test_local_ring_needing_two_rounds_of_joins(self, local16):
+        reports = run_all([local16])
+        assert "fail: 0" in summary_line(reports)
+
+    def test_g23_golden(self, folds):
+        # made at the commit before the checkers became generators; pins
+        # the n = 3 failures with their counterexamples
+        reports = run_all([folds[1]])
+        text = "".join(r.render() + "\n" for r in reports)
+        text += summary_line(reports) + "\n"
+        assert text == (GOLDEN / "theorems_g23.txt").read_text()
+
+    def test_run_theorem_is_its_run_all_block(self, corpus):
+        blocks = {r.theorem_id: r.render() for r in run_all(corpus)}
+        for tid in THEOREM_IDS:
+            assert run_theorem(tid, corpus).render() == blocks[tid], tid
+
     def test_corrupted_structure_refused(self, G):
         two, three = G.index("2"), G.index("3")
         bad = mutate(G, "G-mut", g_overrides={(two, three): G.index("1"),
