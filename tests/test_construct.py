@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from hyperrings.construct import (Homomorphism, KernelNotContainedError,
                                   is_homomorphism, is_multiplicative_subset,
                                   is_subhyperring, preimage_ideal, quotient,
                                   scalar_identity_in, subhyperring_table)
-from hyperrings.core import ArityError, validate_krasner
+from hyperrings.core import ArityError, HyperringTable, validate_krasner
 from hyperrings.ideals import (ideal_from_labels, make_hyperideal,
                                proper_hyperideals)
 
@@ -93,6 +94,22 @@ class TestQuotient:
     def test_improper_rejected(self, G):
         with pytest.raises(ValueError):
             quotient(G, make_hyperideal(G, G.full_set))
+
+    def test_colliding_class_labels_are_named(self, local16):
+        # class labels join member labels with "+"; labelled "x+y" for
+        # x+y, the classes {x,y+z} and {x+y,z} of (x,y,z)/(x+y+z) would
+        # both read x+y+z
+        labels = ["+".join(c for b, c in enumerate("1xyz") if i >> b & 1) or "0"
+                  for i in range(16)]
+        ring = HyperringTable("local", 2, 2, labels, 0, 1, local16.f, local16.g)
+        ideal = make_hyperideal(ring, subset(ring, "0", "x+y+z"))
+        with pytest.raises(ValueError, match=re.escape(
+                "classes {x,y+z} and {x+y,z} of local/{0,x+y+z} both get the "
+                "label 'x+y+z'")):
+            quotient(ring, ideal)
+        # labels that do not collide are kept as they are
+        table, _ = quotient(ring, make_hyperideal(ring, subset(ring, "0", "x")))
+        assert table.labels[:3] == ("0+x", "1+1+x", "y+x+y")
 
     def test_non_ideal_gives_overlapping_classes(self, G):
         # {0,2} is not a hyperideal; its translates overlap without being

@@ -76,13 +76,27 @@ class TestRunAll:
         reports = run_all([local16])
         assert "fail: 0" in summary_line(reports)
 
+    @staticmethod
+    def assert_golden(ring, filename):
+        reports = run_all([ring])
+        text = "".join(r.render() + "\n" for r in reports)
+        text += summary_line(reports) + "\n"
+        assert text == (GOLDEN / filename).read_text()
+
     def test_g23_golden(self, folds):
         # made at the commit before the checkers became generators; pins
         # the n = 3 failures with their counterexamples
-        reports = run_all([folds[1]])
-        text = "".join(r.render() + "\n" for r in reports)
-        text += summary_line(reports) + "\n"
-        assert text == (GOLDEN / "theorems_g23.txt").read_text()
+        self.assert_golden(folds[1], "theorems_g23.txt")
+
+    def test_g32_golden(self, folds):
+        # made while the 36-element (3,2) product was still validated by
+        # scan, when this run took 39 s; no fail
+        self.assert_golden(folds[2], "theorems_g32.txt")
+
+    def test_g33_golden(self, G33):
+        # made while products were still validated by scan (46 s then);
+        # pins 4 fails, 18 of whose 21 counterexamples sit on the product
+        self.assert_golden(G33, "theorems_g33.txt")
 
     def test_run_theorem_is_its_run_all_block(self, corpus):
         blocks = {r.theorem_id: r.render() for r in run_all(corpus)}

@@ -1,20 +1,34 @@
-"""Row-wise axiom scans against the element-wise reference.
+"""Row-wise axiom scans against the element-wise reference, and the
+structural fronts against the full scan.
 
-`validate_krasner` runs the associativity, reversibility and
+`validate_krasner_scan` runs the associativity, reversibility and
 distributivity scans on flat tables, one row (or strided line) of values
 at a time.  The four functions below are the element-wise scans it
 replaced, kept verbatim as the reference: every tuple is evaluated on its
 own.  The reports must be
 equal violation by violation, in order, on the built-in corpus, on folds
 of G to other arities, and on randomly corrupted tables.
+
+`validate_krasner` passes an (m,n)-fold of a valid (2,2)-reduct without a
+scan, and `direct_product` passes a product of passing factors; either
+must render exactly as the full scan does, on valid tables, on tables
+that are not folds, on folds whose reduct fails and on products with a
+failing factor.
 """
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from hyperrings import core
+from hyperrings.construct import direct_product, quotient
 from hyperrings.core import HyperringTable, Violation, validate_krasner
+from hyperrings.documents import parse_document
+from hyperrings.ideals import proper_hyperideals
 
+from conftest import fold, mutate
 from strategies import corruptions
 
 
@@ -118,12 +132,17 @@ HYPERGROUP_AXIOMS = {"f-output-nonempty", "f-commutativity", "f-associativity",
 
 
 def assert_same_report(ring):
-    report = validate_krasner(ring)
+    report = core.validate_krasner_scan(ring)
     expected = reference_violations(ring)
     assert report.violations == expected, ring.name
     assert report.passed == (not expected)
     assert core.validate_canonical_hypergroup(ring).violations == [
         v for v in expected if v.axiom in HYPERGROUP_AXIOMS]
+    assert validate_krasner(ring).render() == report.render(), ring.name
+
+
+def assert_same_render(report, ring):
+    assert report.render() == core.validate_krasner_scan(ring).render(), ring.name
 
 
 # -- fixed structures -----------------------------------------------------
@@ -189,3 +208,76 @@ def test_corrupted_g_mod_06(G_mod_06, data):
 @given(data=st.data())
 def test_corrupted_fold_33(G33, data):
     assert_same_report(data.draw(corruptions(G33)))
+
+
+# -- structural fronts ----------------------------------------------------
+
+def _load_gen():
+    """perfbench/gen.py, the benchmark's generator, loaded read-only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)   # its dataclasses look themselves up there
+    return module
+
+
+def test_krasner_corpus_folds_and_quotients():
+    folds = [item for item in _load_gen().krasner_corpus() if (item.m, item.n) != (2, 2)]
+    assert len(folds) == 69
+    for item in folds:
+        ring = parse_document(item.text, validate=False)
+        assert core._is_fold_of_valid_reduct(ring), ring.name   # the fast path
+        report = validate_krasner(ring)
+        assert report.passed, ring.name
+        assert_same_render(report, ring)
+        for p in proper_hyperideals(ring):
+            table, _ = quotient(ring, p)
+            assert_same_render(table.validation, table)
+
+
+def test_fold_with_entries_off_the_reduct_changed(G33):
+    # the reduct reads f(x,y,0) and g(x,y,1) only, so these corruptions
+    # leave it valid; the table is then not its fold and must fail
+    f_off = mutate(G33, "G33-f", f_overrides={(2, 2, 2): {0}})
+    g_off = mutate(G33, "G33-g", g_overrides={(2, 2, 2): 0})
+    for ring in (f_off, g_off):
+        assert_same_report(ring)
+        assert not validate_krasner(ring).passed
+
+
+@settings(CORRUPTION_SETTINGS, max_examples=8)
+@given(data=st.data())
+def test_corrupted_folds_23_32(folds, data):
+    assert_same_report(data.draw(corruptions(data.draw(st.sampled_from(folds[1:])))))
+
+
+@CORRUPTION_SETTINGS
+@given(data=st.data())
+def test_folds_of_corrupted_g(G, data):
+    m, n = data.draw(st.sampled_from([(3, 3), (2, 3), (3, 2)]))
+    ring = fold(data.draw(corruptions(G)), m, n)
+    assert_same_render(validate_krasner(ring), ring)
+
+
+def test_products_with_h(H, ONE):
+    one33 = fold(ONE, 3, 3)
+    one33.validation = validate_krasner(one33)
+    assert one33.validation.passed
+    for r1, r2 in ((H, one33), (one33, H), (H, H)):
+        product = direct_product(r1, r2)
+        assert not product.validation.passed
+        assert_same_render(product.validation, product)
+
+
+@CORRUPTION_SETTINGS
+@given(data=st.data())
+def test_products_with_a_corrupted_factor(G, G_mod_0246, data):
+    bad = data.draw(corruptions(G))
+    if data.draw(st.booleans()):
+        bad.validation = validate_krasner(bad)
+    # a fresh partner, so that products do not pile up in a fixture's memo
+    other = mutate(G_mod_0246, "G/{0,2,4,6}")
+    other.validation = validate_krasner(other)
+    for r1, r2 in ((bad, other), (other, bad)):
+        product = direct_product(r1, r2)
+        assert_same_render(product.validation, product)
