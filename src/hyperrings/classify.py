@@ -353,8 +353,7 @@ def _classify(ideal, k_max):
 
     # the implications are theorems about valid structures; they are not
     # asserted for deviant subsets or known-deviant ambient tables
-    ring_ok = ring.validation is None or ring.validation.passed
-    if ideal.valid and ring_ok:
+    if ideal.valid and ring.validation.passed:
         for a, b, n_max in _IMPLICATIONS:
             if n_max is not None and ring.n > n_max:
                 continue

@@ -11,13 +11,12 @@ import sys
 
 from .classify import InternalInconsistencyError, classify
 from .construct import direct_product, quotient, IllDefinedQuotientError
-from .core import validate_krasner
 from .corpus import builtin_corpus
 from .documents import DocumentError, load_path, serialize_document
 from .ideals import (ImproperIdealError, enumerate_hyperideals,
                      hyperideal_violations, make_hyperideal,
                      radical_by_primes, radical_by_powers)
-from .theorems import run_all, summary_line
+from .theorems import StructureRejectedError, run_all, summary_line
 
 
 class _CliError(Exception):
@@ -33,8 +32,7 @@ def _load(path, skip_validation=False):
         raise _CliError(f"{path}: {e}", 2)
     except OSError as e:
         raise _CliError(f"{path}: {e}", 2)
-    ring.validation = validate_krasner(ring)
-    if not ring.validation.passed and not skip_validation:
+    if not skip_validation and not ring.validation.passed:
         raise _CliError(
             f"{path}: validation failed "
             f"({len(ring.validation.violations)} violations); "
@@ -51,13 +49,9 @@ def _members(ring, spec):
 
 
 def _cmd_validate(args):
-    try:
-        ring = load_path(args.file, validate=False)
-    except (DocumentError, OSError) as e:
-        raise _CliError(f"{args.file}: {e}", 2)
-    report = validate_krasner(ring)
-    sys.stdout.write(report.render(ring.name))
-    return 0 if report.passed else 1
+    ring = _load(args.file, skip_validation=True)
+    sys.stdout.write(ring.validation.render(ring.name))
+    return 0 if ring.validation.passed else 1
 
 
 def _cmd_ideals(args):
@@ -138,7 +132,10 @@ def _cmd_theorems(args):
         structures = [_load(p, args.no_validate) for p in args.files]
     else:
         structures = builtin_corpus()
-    reports = run_all(structures, k=args.kmax)
+    try:
+        reports = run_all(structures, k=args.kmax)
+    except StructureRejectedError as e:
+        raise _CliError(str(e), 1)
     for report in reports:
         print(report.render())
     print(summary_line(reports))

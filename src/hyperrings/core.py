@@ -4,7 +4,8 @@ A structure is a finite carrier together with an m-ary hyperoperation f
 (set-valued, the "addition") and an n-ary single-valued operation g (the
 "multiplication"), a zero that is the scalar neutral of f and absorbing
 for g, and a scalar identity for g.  Everything here works on explicit
-tables, and every axiom is certified by a scan over all tuples.
+tables.  A table's `validation` is its `validate_krasner` report,
+computed when it is first read.
 
 For the costly axioms (associativity, reversibility, distributivity) a
 validation call first lays both tables out flat, in `itertools.product`
@@ -60,16 +61,35 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
+class _first_read:
+    """functools.cached_property, but stored with setattr: cached_property
+    writes through the instance __dict__, which on CPython 3.11 makes every
+    later attribute load on the instance about twice as slow."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, ring, owner=None):
+        if ring is None:
+            return self
+        value = self.compute(ring)
+        setattr(ring, self.name, value)
+        return value
+
+
 class HyperringTable:
     """Immutable dense-table representation of a finite Krasner (m,n)-hyperring.
 
     f maps every ordered m-tuple of element indices to a frozenset of
     indices; g maps every ordered n-tuple to a single index.  Tables are
     total.  Instances are treated as immutable after construction and are
-    hashed by identity.  `memo` holds all data derived from the table
-    (ideal lattice, absorption index, value rows, row masks, radicals,
-    outcomes and records of predicates, quotients, subhyperrings, products
-    with the table as first factor, keyed by the second), released with it.
+    hashed by identity.  `validation` is the `validate_krasner` report,
+    computed on first read; `direct_product` and `quotient` set it instead
+    on a product or quotient of passing tables.  `memo` holds all data
+    derived from the table (ideal lattice, absorption index, value rows,
+    row masks, radicals, outcomes and records of predicates, quotients,
+    subhyperrings, products with the table as first factor, keyed by the
+    second), released with it.
     A failed computation stores nothing, so it fails again when repeated.
     """
 
@@ -90,10 +110,8 @@ class HyperringTable:
         self.g = dict(g)
         self.commutative_f = commutative_f
         self.commutative_g = commutative_g
-        self.validation = None        # ValidationReport, attached by callers
         self.validation_waived = False
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._inverses = None
         self.memo = {}
         self._check_total()
 
@@ -137,16 +155,19 @@ class HyperringTable:
     def full_set(self):
         return frozenset(range(self.size))
 
+    @_first_read
+    def validation(self):
+        return validate_krasner(self)
+
     def inverses(self, x):
         """All y with 0 in f(x, y, 0^(m-2)); a singleton on valid tables."""
-        if self._inverses is None:
-            pad = (self.zero,) * (self.m - 2)
-            inv = []
-            for a in range(self.size):
-                inv.append(frozenset(
-                    b for b in range(self.size) if self.zero in self.f[(a, b) + pad]))
-            self._inverses = inv
         return self._inverses[x]
+
+    @_first_read
+    def _inverses(self):
+        pad = (self.zero,) * (self.m - 2)
+        return [frozenset(b for b in self.carrier if self.zero in self.f[(a, b) + pad])
+                for a in self.carrier]
 
     def __repr__(self):
         return f"HyperringTable({self.name!r}, m={self.m}, n={self.n}, size={self.size})"
@@ -166,21 +187,6 @@ def f_extend(ring, subsets):
     for t in itertools.product(*subsets):
         out |= f[t]
     return frozenset(out)
-
-
-def g_eval(ring, args):
-    if len(args) != ring.n:
-        raise ArityError(f"g takes {ring.n} arguments, got {len(args)}")
-    return ring.g[tuple(args)]
-
-
-def g_iterated(ring, args):
-    """Left-nested fold of g over l(n-1)+1 arguments; l=1 is plain g."""
-    n = ring.n
-    k = len(args)
-    if k < n or (k - 1) % (n - 1) != 0:
-        raise ArityError(f"g_iterated needs l(n-1)+1 arguments for n={n}, got {k}")
-    return g_product(ring, args)
 
 
 def g_power(ring, a, s):

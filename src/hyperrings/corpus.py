@@ -3,8 +3,8 @@
 G is the six-class quotient of the integers mod 12 by its unit group,
 with set-valued addition and class multiplication.  H is a three-element
 (3,3)-structure transcribed from a partially specified table; the best
-effort completion does not satisfy every axiom, so H carries its
-validation report and is kept as a known-deviant fixture.  The rest are
+effort completion does not satisfy every axiom, so H is kept as a
+known-deviant fixture whose failing report is waived.  The rest are
 derived: the direct product G x G, two quotients of G, and the one
 element hyperring.
 """
@@ -14,7 +14,6 @@ from functools import lru_cache
 from importlib import resources
 
 from .construct import direct_product, quotient
-from .core import validate_krasner
 from .documents import parse_document
 from .ideals import ideal_from_labels
 
@@ -27,18 +26,14 @@ def document_text(filename):
 
 
 def _load(filename, waive_validation=False):
-    ring = parse_document(document_text(filename), validate=False)
-    ring.validation = validate_krasner(ring)
+    ring = parse_document(document_text(filename), validate=not waive_validation)
     ring.validation_waived = waive_validation
-    if not ring.validation.passed and not waive_validation:
-        raise RuntimeError(f"shipped document {filename} fails validation")
     return ring
 
 
 @lru_cache(maxsize=None)
 def builtin_corpus():
-    """G, H, GxG, G/{0,6}, G/{0,2,4,6} and the one-element hyperring,
-    each with its validation report attached."""
+    """G, H, GxG, G/{0,6}, G/{0,2,4,6} and the one-element hyperring."""
     g = _load("g.json")
     h = _load("h.json", waive_validation=True)
     gxg = direct_product(g, g)
@@ -46,10 +41,3 @@ def builtin_corpus():
     q0246, _ = quotient(g, ideal_from_labels(g, "0,2,4,6"))
     one = _load("one.json")
     return [g, h, gxg, q06, q0246, one]
-
-
-def corpus_member(name):
-    for ring in builtin_corpus():
-        if ring.name == name:
-            return ring
-    raise KeyError(f"no corpus member named {name!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .core import HyperringTable, validate_krasner
+from .core import HyperringTable
 
 
 class DocumentError(ValueError):
@@ -49,7 +49,7 @@ def parse_document(text, validate=True):
     """Parse a document into a dense validated HyperringTable.
 
     Validation runs by default; pass validate=False to obtain the table
-    regardless (the caller can attach the report itself).
+    regardless (its report is then computed when `validation` is first read).
     """
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicates)
@@ -137,11 +137,8 @@ def parse_document(text, validate=True):
                           one=one, f=f, g=g, commutative_f=comm_f,
                           commutative_g=comm_g)
     ring.notes = tuple(notes) if notes else ()
-    if validate:
-        report = validate_krasner(ring)
-        ring.validation = report
-        if not report.passed:
-            raise DocumentValidationError(report, name)
+    if validate and not ring.validation.passed:
+        raise DocumentValidationError(ring.validation, name)
     return ring
 
 

@@ -233,18 +233,6 @@ def proper_hyperideals(ring):
     return [p for p in enumerate_hyperideals(ring) if p.proper]
 
 
-def brute_force_hyperideals(ring):
-    """Oracle: filter all subsets containing zero through is_hyperideal."""
-    rest = [x for x in ring.carrier if x != ring.zero]
-    out = []
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            s = frozenset(combo) | {ring.zero}
-            if is_hyperideal(ring, s):
-                out.append(s)
-    return _canonical_order(out)
-
-
 def value_rows(ring):
     """For each (n-1)-tuple key, the list over values v of the bitmask of
     the c with g(key, c) = v: one pass over the g table, memoised."""
@@ -375,22 +363,6 @@ def _radical_by_powers(ring, members):
     return frozenset(a for a in ring.carrier
                      if any(g_power(ring, a, s) in members
                             for s in range(1, ring.size + 1)))
-
-
-def maximal_hyperideals(ring):
-    proper = [p.members for p in enumerate_hyperideals(ring) if p.proper]
-    out = [m for m in proper if not any(m < other for other in proper)]
-    return [Hyperideal(ring, m, True) for m in _canonical_order(out)]
-
-
-def jacobson_radical(ring):
-    maximal = maximal_hyperideals(ring)
-    if not maximal:
-        return ring.full_set
-    out = maximal[0].members
-    for m in maximal[1:]:
-        out &= m.members
-    return out
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .construct import (Homomorphism, direct_product,
                         enumerate_subhyperrings, image_ideal,
                         preimage_ideal, product_ideal, product_pack,
                         quotient, subhyperring_table)
-from .core import g_product, validate_krasner
+from .core import g_product
 from .ideals import (enumerate_hyperideals, hyperideal_product,
                      generated_by, make_hyperideal, proper_hyperideals,
                      quotient_sets, radical_by_primes, radical_by_powers)
@@ -72,8 +72,6 @@ class StructureRejectedError(ValueError):
 def _admit(structures):
     out = []
     for ring in structures:
-        if ring.validation is None:
-            ring.validation = validate_krasner(ring)
         if not ring.validation.passed and not ring.validation_waived:
             raise StructureRejectedError(
                 f"{ring.name} fails axiom validation "

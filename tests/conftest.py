@@ -4,6 +4,7 @@ import pytest
 
 from hyperrings.core import HyperringTable
 from hyperrings.corpus import builtin_corpus
+from hyperrings.ideals import _canonical_order, is_hyperideal
 
 
 @pytest.fixture(scope="session")
@@ -103,3 +104,15 @@ def mutate(ring, name, f_overrides=None, g_overrides=None):
     return HyperringTable(name, ring.m, ring.n, ring.labels, ring.zero,
                           ring.one, f, g, ring.commutative_f,
                           ring.commutative_g)
+
+
+def brute_force_hyperideals(ring):
+    """Oracle: filter all subsets containing zero through is_hyperideal."""
+    rest = [x for x in ring.carrier if x != ring.zero]
+    out = []
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            s = frozenset(combo) | {ring.zero}
+            if is_hyperideal(ring, s):
+                out.append(s)
+    return _canonical_order(out)

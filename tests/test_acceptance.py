@@ -17,10 +17,12 @@ from hyperrings.classify import is_prime, is_q_primary, is_sq_primary, is_wsq_pr
 from hyperrings.construct import direct_product, quotient
 from hyperrings.corpus import DOCUMENT_FILES, builtin_corpus, document_text
 from hyperrings.documents import parse_document, serialize_document
-from hyperrings.ideals import (brute_force_hyperideals, enumerate_hyperideals,
-                               ideal_from_labels, make_hyperideal,
-                               radical_by_powers, radical_by_primes)
+from hyperrings.ideals import (enumerate_hyperideals, ideal_from_labels,
+                               make_hyperideal, radical_by_powers,
+                               radical_by_primes)
 from hyperrings.theorems import KNOWN_IMPLICATIONS, implication_matrix
+
+from conftest import brute_force_hyperideals
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -190,6 +190,13 @@ class TestTheorems:
         assert out.encode() == (
             GOLDEN / "theorems_builtin_kmax1.txt").read_bytes()
 
+    def test_rejected_structure_is_an_error_not_a_traceback(self, docs, capsys):
+        code, out, err = run(capsys, "theorems", "--no-validate",
+                             str(docs / "h.json"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: H fails axiom validation (108 violations)")
+
     def test_missing_theorem_file(self, capsys):
         assert run(capsys, "theorems", "/nonexistent.json")[0] == 2
 

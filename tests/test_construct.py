@@ -7,9 +7,9 @@ from hyperrings.classify import classify
 from hyperrings.construct import (Homomorphism, KernelNotContainedError,
                                   NotSurjectiveError, direct_product,
                                   enumerate_subhyperrings, image_ideal,
-                                  is_homomorphism, is_multiplicative_subset,
-                                  is_subhyperring, preimage_ideal, quotient,
-                                  scalar_identity_in, subhyperring_table)
+                                  is_homomorphism, is_subhyperring,
+                                  preimage_ideal, quotient, scalar_identity_in,
+                                  subhyperring_table)
 from hyperrings.core import ArityError, HyperringTable, validate_krasner
 from hyperrings.ideals import (ideal_from_labels, make_hyperideal,
                                proper_hyperideals)
@@ -196,14 +196,3 @@ class TestSubhyperrings:
 
     def test_04_has_identity_four(self, G):
         assert scalar_identity_in(G, subset(G, "0", "4")) == G.index("4")
-
-
-class TestMultiplicativeSubsets:
-    def test_identity_singleton(self, G):
-        assert is_multiplicative_subset(G, {G.one})
-
-    def test_one_and_four(self, G):
-        assert is_multiplicative_subset(G, subset(G, "1", "4"))
-
-    def test_two_alone_fails(self, G):
-        assert not is_multiplicative_subset(G, subset(G, "2"))

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from hyperrings.core import (ArityError, f_extend, g_eval, g_iterated,
-                             g_power, g_product,
-                             validate_canonical_hypergroup, validate_krasner)
+from hyperrings.core import (ArityError, ValidationReport, f_extend, g_power,
+                             g_product, validate_canonical_hypergroup,
+                             validate_krasner)
 
 from conftest import mutate
 
@@ -18,9 +18,9 @@ def subset(ring, *labels):
 
 
 # -- element-wise reference folds -------------------------------------------
-# g_product is the one identity-padded fold that g_iterated and g_power
-# call; the functions below are the separate folds it replaced, kept
-# verbatim as the reference.
+# g_product is the one identity-padded fold that g_power calls; the
+# functions below are the separate folds it replaced, kept verbatim as the
+# reference.
 
 def reference_g_eval(ring, args):
     if len(args) != ring.n:
@@ -105,38 +105,28 @@ class TestFExtend:
 
 class TestGEval:
     def test_multiplication_rule(self, G):
-        assert g_eval(G, lab(G, "2", "2")) == G.index("4")
+        assert g_product(G, lab(G, "2", "2")) == G.index("4")
 
     def test_zero_absorbs(self, G):
         for x in G.carrier:
-            assert g_eval(G, [G.zero, x]) == G.zero
+            assert g_product(G, [G.zero, x]) == G.zero
 
     def test_h_triple(self, H):
-        assert g_eval(H, lab(H, "1", "2", "2")) == H.index("2")
-
-    def test_arity_error(self, G):
-        with pytest.raises(ArityError):
-            g_eval(G, lab(G, "2", "2", "2"))
+        assert g_product(H, lab(H, "1", "2", "2")) == H.index("2")
 
 
 class TestGIterated:
     def test_l1_equals_g_eval(self, G):
-        assert g_iterated(G, lab(G, "2", "3")) == G.index("6")
+        assert g_product(G, lab(G, "2", "3")) == G.index("6")
         for t in itertools.product(G.carrier, repeat=2):
-            assert g_iterated(G, t) == g_eval(G, t)
+            assert g_product(G, t) == G.g[t]
 
     def test_left_nesting(self, G):
         # 6*6*6: 36 = 0 mod 12, then 0 absorbs
-        assert g_iterated(G, lab(G, "6", "6", "6")) == G.index("0")
+        assert g_product(G, lab(G, "6", "6", "6")) == G.index("0")
 
     def test_zero_absorbs(self, G):
-        assert g_iterated(G, lab(G, "0", "3", "4", "2")) == G.index("0")
-
-    def test_bad_lengths(self, G, H):
-        with pytest.raises(ArityError):
-            g_iterated(G, [G.zero])
-        with pytest.raises(ArityError):
-            g_iterated(H, lab(H, "1", "1", "1", "1"))  # 4 != l*2+1
+        assert g_product(G, lab(G, "0", "3", "4", "2")) == G.index("0")
 
 
 class TestGPower:
@@ -152,7 +142,7 @@ class TestGPower:
     def test_padding_matches_iteration(self, H):
         # s=4 on a (3,3)-structure pads to a 5-argument fold
         two = H.index("2")
-        assert g_power(H, two, 4) == g_iterated(H, [two] * 4 + [H.one])
+        assert g_power(H, two, 4) == g_product(H, [two] * 4 + [H.one])
 
     def test_power_composition(self, corpus):
         # g(g_power(a,s), a^(s'), A^...) equals g_power(a, s+s') wherever
@@ -163,8 +153,8 @@ class TestGPower:
                 for s in range(1, ring.size + 1):
                     base = g_power(ring, a, s)
                     for extra in range(1, n):
-                        lhs = g_eval(ring, (base,) + (a,) * extra
-                                     + (ring.one,) * (n - 1 - extra))
+                        lhs = ring.g[(base,) + (a,) * extra
+                                     + (ring.one,) * (n - 1 - extra)]
                         assert lhs == g_power(ring, a, s + extra)
 
 
@@ -177,15 +167,9 @@ class TestGProduct:
         for ring in [G, H] + folds:
             n = ring.n
             for length in range(1, 2 * n):
-                representable = length >= n and (length - 1) % (n - 1) == 0
-                if not representable:
-                    with pytest.raises(ArityError):
-                        g_iterated(ring, (ring.one,) * length)
                 for t in itertools.product(ring.carrier, repeat=length):
                     expect = reference_g_product(ring, t)
                     assert g_product(ring, t) == expect, (ring.name, t)
-                    if representable:
-                        assert g_iterated(ring, t) == expect, (ring.name, t)
             for a in ring.carrier:
                 for s in range(1, 2 * n):
                     assert g_power(ring, a, s) == reference_g_power(ring, a, s)
@@ -198,7 +182,7 @@ class TestValidators:
 
     def test_corpus_reports_attached(self, corpus):
         for ring in corpus:
-            assert ring.validation is not None
+            assert isinstance(ring.validation, ValidationReport)
             if ring.name != "H":
                 assert ring.validation.passed, ring.name
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hyperrings.construct import direct_product, quotient
+from hyperrings.core import ValidationReport
 from hyperrings.corpus import DOCUMENT_FILES, builtin_corpus, document_text
 from hyperrings.documents import (DocumentError, DocumentValidationError,
                                   parse_document, serialize_document)
@@ -108,7 +109,7 @@ class TestCorpus:
 
     def test_validation_attached_everywhere(self, corpus):
         for ring in corpus:
-            assert ring.validation is not None
+            assert isinstance(ring.validation, ValidationReport)
         assert corpus[1].validation_waived
         assert not corpus[0].validation_waived
 

@@ -2,14 +2,15 @@ import itertools
 
 import pytest
 
-from hyperrings.ideals import (ImproperIdealError, brute_force_hyperideals,
-                               closed_sets, enumerate_hyperideals,
-                               generated_by, hyperideal_product,
-                               hyperideal_violations, ideal_from_labels,
-                               is_hyperideal, jacobson_radical, make_hyperideal,
-                               maximal_hyperideals, proper_hyperideals,
+from hyperrings.ideals import (ImproperIdealError, closed_sets,
+                               enumerate_hyperideals, generated_by,
+                               hyperideal_product, hyperideal_violations,
+                               ideal_from_labels, is_hyperideal,
+                               make_hyperideal, proper_hyperideals,
                                quotient_sets, radical_by_primes,
                                radical_by_powers)
+
+from conftest import brute_force_hyperideals
 
 
 def subset(ring, *labels):
@@ -168,22 +169,6 @@ class TestRadicals:
                 if a.members <= b.members:
                     assert (radical_by_primes(ring, a)
                             <= radical_by_primes(ring, b))
-
-
-class TestMaximalAndJacobson:
-    def test_g(self, G):
-        got = [m.members for m in maximal_hyperideals(G)]
-        assert got == [subset(G, "0", "3", "6"), subset(G, "0", "2", "4", "6")]
-        assert jacobson_radical(G) == subset(G, "0", "6")
-
-    def test_one_element(self, ONE):
-        assert maximal_hyperideals(ONE) == []
-        assert jacobson_radical(ONE) == ONE.full_set
-
-    def test_h(self, H):
-        # under the best-effort table the only proper hyperideal is {0}
-        assert [m.members for m in maximal_hyperideals(H)] == [subset(H, "0")]
-        assert jacobson_radical(H) == subset(H, "0")
 
 
 class TestQuotientSets:

@@ -10,10 +10,10 @@ equal violation by violation, in order, on the built-in corpus, on folds
 of G to other arities, and on randomly corrupted tables.
 
 `validate_krasner` passes an (m,n)-fold of a valid (2,2)-reduct without a
-scan, and `direct_product` passes a product of passing factors; either
-must render exactly as the full scan does, on valid tables, on tables
-that are not folds, on folds whose reduct fails and on products with a
-failing factor.
+scan, `direct_product` passes a product of passing factors and `quotient`
+a quotient of a passing table; each must render exactly as the full scan
+does, on valid tables, on tables that are not folds, on folds whose reduct
+fails, on products with a failing factor and on a quotient of H.
 """
 import importlib.util
 import itertools
@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from hyperrings import core
 from hyperrings.construct import direct_product, quotient
 from hyperrings.core import HyperringTable, Violation, validate_krasner
+from hyperrings.corpus import document_text
 from hyperrings.documents import parse_document
 from hyperrings.ideals import proper_hyperideals
 
@@ -261,7 +262,6 @@ def test_folds_of_corrupted_g(G, data):
 
 def test_products_with_h(H, ONE):
     one33 = fold(ONE, 3, 3)
-    one33.validation = validate_krasner(one33)
     assert one33.validation.passed
     for r1, r2 in ((H, one33), (one33, H), (H, H)):
         product = direct_product(r1, r2)
@@ -269,15 +269,49 @@ def test_products_with_h(H, ONE):
         assert_same_render(product.validation, product)
 
 
+def test_product_of_unread_folds_is_certified(G, monkeypatch):
+    # neither fold has been validated yet; reading each one's report scans
+    # only its 6-element reduct, and the 36-element product is never scanned
+    scan = core.validate_krasner_scan
+
+    def small_scans_only(ring):
+        assert ring.size <= G.size, f"{ring.name} was scanned"
+        return scan(ring)
+
+    monkeypatch.setattr(core, "validate_krasner_scan", small_scans_only)
+    r1, r2 = fold(G, 3, 3), fold(G, 3, 3)
+    product = direct_product(r1, r2)
+    assert product.validation.passed
+    assert r1.validation.passed and r2.validation.passed
+
+
+def test_quotients_of_a_passing_table_are_certified(monkeypatch):
+    # no quotient of G is scanned; H fails, so its quotient by {0} gets its
+    # report on first read; every report must render as the scan does
+    scan = core.validate_krasner_scan
+
+    def no_quotient_scans(ring):
+        assert "/" not in ring.name, f"{ring.name} was scanned"
+        return scan(ring)
+
+    monkeypatch.setattr(core, "validate_krasner_scan", no_quotient_scans)
+    g = parse_document(document_text("g.json"))
+    tables = [quotient(g, p)[0] for p in proper_hyperideals(g)]
+    assert len(tables) == 5 and all(t.validation.passed for t in tables)
+    monkeypatch.undo()
+    h = parse_document(document_text("h.json"), validate=False)
+    tables.append(quotient(h, frozenset({h.zero}))[0])
+    assert not tables[-1].validation.passed
+    for table in tables:
+        assert_same_render(table.validation, table)
+
+
 @CORRUPTION_SETTINGS
 @given(data=st.data())
 def test_products_with_a_corrupted_factor(G, G_mod_0246, data):
     bad = data.draw(corruptions(G))
-    if data.draw(st.booleans()):
-        bad.validation = validate_krasner(bad)
     # a fresh partner, so that products do not pile up in a fixture's memo
     other = mutate(G_mod_0246, "G/{0,2,4,6}")
-    other.validation = validate_krasner(other)
     for r1, r2 in ((bad, other), (other, bad)):
         product = direct_product(r1, r2)
         assert_same_render(product.validation, product)
