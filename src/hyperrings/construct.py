@@ -4,16 +4,20 @@ Quotient classes are keyed by their full member sets rather than by
 representatives, so well-definedness of the induced operations is an
 explicit, exhaustively checked assertion instead of an assumption.
 A built table is validated when its `validation` is first read, except that
-products and quotients of passing tables are certified (FINDINGS.md).
+products and quotients of passing tables are certified (FINDINGS.md).  A
+product's tables are built in one pass over its factors' entries, and a
+certified product records its factors, from which its hyperideal lattice
+is derived.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 
 from .core import (ArityError, HyperringTable, ValidationReport, Violation,
                    f_extend)
-from .ideals import (_members_of, closed_sets, make_hyperideal,
+from .ideals import (_members_of, closed_sets, make_hyperideal, product_pack,
                      worklist_closure)
 
 
@@ -67,39 +71,33 @@ def _direct_product(r1, r2):
     if (r1.m, r1.n) != (r2.m, r2.n):
         raise ArityError(f"arity mismatch: ({r1.m},{r1.n}) vs ({r2.m},{r2.n})")
     m, n = r1.m, r1.n
-    s2 = r2.size
     labels = [f"{a}_{b}" for a in r1.labels for b in r2.labels]
+    pair = [[product_pack(r2, a, b) for b in r2.carrier] for a in r1.carrier]
+    sums = {u: {v: frozenset(pair[a][b] for a in u for b in v)
+                for v in set(r2.f.values())}
+            for u in set(r1.f.values())}
 
-    def pack(i, j):
-        return i * s2 + j
-
-    f = {}
-    for t1 in itertools.product(range(r1.size), repeat=m):
-        v1 = r1.f[t1]
-        for t2 in itertools.product(range(s2), repeat=m):
-            v2 = r2.f[t2]
-            key = tuple(pack(a, b) for a, b in zip(t1, t2))
-            f[key] = frozenset(pack(a, b) for a in v1 for b in v2)
-    g = {}
-    for t1 in itertools.product(range(r1.size), repeat=n):
-        v1 = r1.g[t1]
-        for t2 in itertools.product(range(s2), repeat=n):
-            key = tuple(pack(a, b) for a, b in zip(t1, t2))
-            g[key] = pack(v1, r2.g[t2])
+    def combine(arity, table1, table2, value):
+        # keys in product order of r1's tuples, then of r2's; (t1, t2)
+        # packs to the tuple of pair[t1[i]][t2[i]]
+        outer = [([pair[a] for a in t1], table1[t1])
+                 for t1 in itertools.product(r1.carrier, repeat=arity)]
+        inner = [(t2, table2[t2]) for t2 in itertools.product(r2.carrier, repeat=arity)]
+        return {tuple(map(getitem, rows, t2)): value[v1][v2]
+                for rows, v1 in outer for t2, v2 in inner}
 
     ring = HyperringTable(
         name=f"{r1.name}x{r2.name}", m=m, n=n, labels=labels,
-        zero=pack(r1.zero, r2.zero), one=pack(r1.one, r2.one), f=f, g=g,
+        zero=pair[r1.zero][r2.zero], one=pair[r1.one][r2.one],
+        f=combine(m, r1.f, r2.f, sums), g=combine(n, r1.g, r2.g, pair),
         commutative_f=r1.commutative_f and r2.commutative_f,
         commutative_g=r1.commutative_g and r2.commutative_g)
-    # every axiom holds componentwise on non-empty factors (FINDINGS.md)
+    # every axiom holds componentwise on non-empty factors, and every
+    # hyperideal is an I1 x I2, derived on first read (FINDINGS.md)
     if r1.validation.passed and r2.validation.passed:
         ring.validation = ValidationReport(True, [])
+        ring.memo["factors"] = (r1, r2)
     return ring
-
-
-def product_pack(r2, i, j):
-    return i * r2.size + j
 
 
 def product_ideal(ring, r1, r2, m1, m2, strict=True):

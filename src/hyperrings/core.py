@@ -89,7 +89,7 @@ class HyperringTable:
     derived from the table (ideal lattice, absorption index, value rows,
     row masks, radicals, outcomes and records of predicates, quotients,
     subhyperrings, products with the table as first factor, keyed by the
-    second), released with it.
+    second, and a certified product's factors), released with it.
     A failed computation stores nothing, so it fails again when repeated.
     """
 

@@ -17,6 +17,11 @@ is a hyperideal exactly when its closure adds nothing, and that is how
 `make_hyperideal` and `generated_by` decide it;
 `hyperideal_violations` names the broken invariants for error messages
 and serves as the test oracle.
+
+The hyperideals of a product of passing tables are the I1 x I2 of theirs
+(FINDINGS.md (v)), so such a product's lattice is built from its
+factors' lattices on first read, in the closure search's order.  The
+power radical reads all powers of an element off one chain of g lookups.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .core import ArityError, g_power, g_product
+from .core import ArityError, g_product
 
 
 class ImproperIdealError(ValueError):
@@ -212,10 +217,11 @@ def closed_sets(ring, closure):
 
 
 def enumerate_hyperideals(ring):
-    """All hyperideals, R included: the closed sets of ideal_closure.
+    """All hyperideals, R included: the closed sets of ideal_closure, or,
+    on a product of passing factors, the I1 x I2 of their lattices.
 
-    Verified against the 2^|R| brute-force filter for small carriers in
-    the test suite.
+    Verified against the 2^|R| brute-force filter for small carriers, and
+    the products against the closure search, in the test suite.
     """
     try:
         return ring.memo["hyperideals"]
@@ -226,7 +232,23 @@ def enumerate_hyperideals(ring):
 
 
 def _enumerate_hyperideals(ring):
-    return [Hyperideal(ring, s, True) for s in closed_sets(ring, ideal_closure)]
+    factors = ring.memo.get("factors")
+    sets = (closed_sets(ring, ideal_closure) if factors is None
+            else _product_lattice(*factors))
+    return [Hyperideal(ring, s, True) for s in sets]
+
+
+def product_pack(r2, i, j):
+    """The element (i, j) of a direct product whose second factor is r2."""
+    return i * r2.size + j
+
+
+def _product_lattice(r1, r2):
+    """Every I1 x I2, in canonical order: the hyperideals of the product
+    of two passing tables (FINDINGS.md (v))."""
+    return _canonical_order(
+        frozenset(product_pack(r2, a, b) for a in p1.members for b in p2.members)
+        for p1 in enumerate_hyperideals(r1) for p2 in enumerate_hyperideals(r2))
 
 
 def proper_hyperideals(ring):
@@ -361,8 +383,24 @@ def radical_by_powers(ring, ideal):
 
 def _radical_by_powers(ring, members):
     return frozenset(a for a in ring.carrier
-                     if any(g_power(ring, a, s) in members
-                            for s in range(1, ring.size + 1)))
+                     if not members.isdisjoint(_power_chain(ring, a, ring.size)))
+
+
+def _power_chain(ring, a, count):
+    """g_power(ring, a, s) for s = 1, ..., count, one g lookup each.
+
+    g_product folds a^(s) from the left in groups: g(a^n), then whole
+    groups a^(n-1), with the identity padding only the last group.  So
+    each power is the head of the whole groups before it with its last
+    group a^r 1^(n-1-r) folded in, and at r = n-1 it is the next head.
+    """
+    g, n, one = ring.g, ring.n, ring.one
+    tails = [(a,) * r + (one,) * (n - 1 - r) for r in range(n)]
+    head, r = a, 0
+    for _ in range(count):
+        value = g[(head,) + tails[r]]
+        yield value
+        head, r = (value, 1) if r == n - 1 else (head, r + 1)
 
 
 @dataclass(frozen=True)

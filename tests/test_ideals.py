@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
-from hyperrings.ideals import (ImproperIdealError, closed_sets,
+from hyperrings.core import g_power
+from hyperrings.ideals import (ImproperIdealError, _power_chain, closed_sets,
                                enumerate_hyperideals, generated_by,
                                hyperideal_product, hyperideal_violations,
                                ideal_from_labels, is_hyperideal,
@@ -10,7 +12,7 @@ from hyperrings.ideals import (ImproperIdealError, closed_sets,
                                quotient_sets, radical_by_primes,
                                radical_by_powers)
 
-from conftest import brute_force_hyperideals
+from conftest import brute_force_hyperideals, fold, mutate
 
 
 def subset(ring, *labels):
@@ -169,6 +171,55 @@ class TestRadicals:
                 if a.members <= b.members:
                     assert (radical_by_primes(ring, a)
                             <= radical_by_primes(ring, b))
+
+
+def radical_by_definition(ring, members):
+    return frozenset(a for a in ring.carrier
+                     if any(g_power(ring, a, s) in members
+                            for s in range(1, ring.size + 1)))
+
+
+def identity_corruption(ring, seed):
+    """A copy in which 1 is not neutral: three g-entries at tuples holding
+    1 get random values, then one g(x, 1^(n-1)) is moved off x."""
+    rng = random.Random(seed)
+    keys = sorted(t for t in ring.g if ring.one in t)
+    over = {t: rng.randrange(ring.size) for t in rng.sample(keys, 3)}
+    x = rng.randrange(ring.size)
+    over[(x,) + (ring.one,) * (ring.n - 1)] = (x + 1) % ring.size
+    return mutate(ring, f"{ring.name}-seed{seed}", g_overrides=over)
+
+
+class TestPowerChain:
+    """radical_by_powers reads every power off one chain of g lookups; the
+    chain must be g_power, whose grouping it copies, even where 1 is not
+    neutral."""
+
+    @staticmethod
+    def assert_chain_is_g_power(ring):
+        count = 3 * ring.size
+        for a in ring.carrier:
+            assert list(_power_chain(ring, a, count)) == [
+                g_power(ring, a, s) for s in range(1, count + 1)], (ring.name, a)
+        subsets = ([p.members for p in enumerate_hyperideals(ring)]
+                   + [frozenset([x]) for x in ring.carrier])
+        for members in subsets:
+            assert radical_by_powers(ring, members) == radical_by_definition(
+                ring, members), (ring.name, sorted(members))
+
+    def test_corpus_and_folds(self, G, H, folds):
+        rings = [G, H, folds[0], folds[1], fold(G, 2, 4)]
+        assert {ring.n for ring in rings} == {2, 3, 4}
+        for ring in rings:
+            self.assert_chain_is_g_power(ring)
+
+    def test_identity_corruptions(self, G, folds):
+        for base in (G, folds[1], fold(G, 2, 4)):
+            for seed in range(10):
+                ring = identity_corruption(base, seed)
+                assert any(ring.g[(x,) + (ring.one,) * (ring.n - 1)] != x
+                           for x in ring.carrier)
+                self.assert_chain_is_g_power(ring)
 
 
 class TestQuotientSets:

@@ -1,0 +1,170 @@
+"""Direct products against their references.
+
+`_direct_product` builds f and g in one pass over the factor tables.  The
+element-wise build it replaced is kept below, verbatim, as the reference:
+both must give the same entries with the same key order.  A product of
+passing factors derives its hyperideal lattice from theirs (FINDINGS.md
+(v)).  The derived lattice must equal the closure search, in order, on
+the products of the built-in structures, of the folds of G and of small
+krasner-corpus tables, which `perfbench/gen.py` generates and this module
+only reads.  A product with a failing factor (H, or a corrupted table)
+must take the closure search.
+"""
+import importlib.util
+import itertools
+import sys
+from pathlib import Path
+
+import pytest
+
+from hyperrings.construct import direct_product
+from hyperrings.corpus import document_text
+from hyperrings.documents import parse_document
+from hyperrings.ideals import closed_sets, enumerate_hyperideals, ideal_closure
+
+from conftest import mutate
+
+GEN = Path(__file__).parent.parent / "perfbench" / "gen.py"
+
+
+def load_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_product_tables(r1, r2):
+    """f and g of the direct product, packed entry by entry."""
+    m, n = r1.m, r1.n
+    s2 = r2.size
+
+    def pack(i, j):
+        return i * s2 + j
+
+    f = {}
+    for t1 in itertools.product(range(r1.size), repeat=m):
+        v1 = r1.f[t1]
+        for t2 in itertools.product(range(s2), repeat=m):
+            v2 = r2.f[t2]
+            key = tuple(pack(a, b) for a, b in zip(t1, t2))
+            f[key] = frozenset(pack(a, b) for a in v1 for b in v2)
+    g = {}
+    for t1 in itertools.product(range(r1.size), repeat=n):
+        v1 = r1.g[t1]
+        for t2 in itertools.product(range(s2), repeat=n):
+            key = tuple(pack(a, b) for a, b in zip(t1, t2))
+            g[key] = pack(v1, r2.g[t2])
+    return f, g
+
+
+def closure_lattice(ring):
+    return closed_sets(ring, ideal_closure)
+
+
+def lattice(ring):
+    return [p.members for p in enumerate_hyperideals(ring)]
+
+
+def factor_products(r1, r2):
+    """The I1 x I2 over both factors' closure lattices."""
+    return {frozenset(a * r2.size + b for a in i1 for b in i2)
+            for i1 in closure_lattice(r1) for i2 in closure_lattice(r2)}
+
+
+def pairs_up_to(rings, size):
+    """Ordered pairs of equal arity whose product has at most size elements."""
+    return [(a, b) for a, b in itertools.product(rings, repeat=2)
+            if (a.m, a.n) == (b.m, b.n) and a.size * b.size <= size]
+
+
+@pytest.fixture(scope="module")
+def passing(corpus):
+    return [ring for ring in corpus if ring.validation.passed]
+
+
+@pytest.fixture(scope="module")
+def small_krasner_pairs():
+    """Tables of at most 6 elements from the krasner corpus, each paired
+    with the next one of its arity, in corpus order."""
+    by_arity = {}
+    for item in load_gen().krasner_corpus():
+        if item.size <= 6:
+            by_arity.setdefault((item.m, item.n), []).append(parse_document(item.text))
+    return [pair for rings in by_arity.values() for pair in zip(rings, rings[1:])]
+
+
+def corrupted_factors(G, Q):
+    """Tables that fail validation: G with 1 * 1 = 0, G with g(0, 0) = 1,
+    and the two-element Q with f(0, 1) and f(1, 0) empty.  A product
+    with the last need not have (a, b) in f((a, 0), (0, b)), so its
+    lattice is not the I1 x I2."""
+    one, zero = G.one, G.zero
+    return [mutate(G, "G-unit", g_overrides={(one, one): zero}),
+            mutate(G, "G-zero", g_overrides={(zero, zero): one}),
+            mutate(Q, "Q-empty", f_overrides={(Q.zero, Q.one): (),
+                                              (Q.one, Q.zero): ()})]
+
+
+# -- one-pass tables ------------------------------------------------------
+
+def assert_reference_tables(r1, r2):
+    p = direct_product(r1, r2)
+    f, g = reference_product_tables(r1, r2)
+    assert list(p.f.items()) == list(f.items()), p.name
+    assert list(p.g.items()) == list(g.items()), p.name
+
+
+def test_tables_match_the_reference(corpus, folds, H, G, G_mod_0246):
+    bad = corrupted_factors(G, G_mod_0246)
+    pairs = (pairs_up_to(corpus, 36) + pairs_up_to(folds + [H], 36)
+             + [(G, b) for b in bad] + [(b, G) for b in bad])
+    assert any(H in pair for pair in pairs)
+    for r1, r2 in pairs:
+        assert_reference_tables(r1, r2)
+
+
+# -- derived lattices -----------------------------------------------------
+
+def test_derived_lattices_of_built_in_products(passing):
+    pairs = pairs_up_to(passing, 36)
+    assert any(a.size * b.size == 36 for a, b in pairs)
+    for r1, r2 in pairs:
+        p = direct_product(r1, r2)
+        assert lattice(p) == closure_lattice(p), p.name
+
+
+def test_derived_lattices_of_fold_products(folds):
+    for ring in folds:
+        p = direct_product(ring, ring)
+        assert lattice(p) == closure_lattice(p), p.name
+
+
+def test_derived_lattices_of_small_krasner_products(small_krasner_pairs):
+    assert {(a.m, a.n) for a, _ in small_krasner_pairs} == {
+        (2, 2), (2, 3), (3, 2), (3, 3)}
+    for r1, r2 in small_krasner_pairs:
+        p = direct_product(r1, r2)
+        assert lattice(p) == closure_lattice(p), p.name
+
+
+def test_failing_factors_take_the_closure_search(G, H, G_mod_0246):
+    bad = corrupted_factors(G, G_mod_0246)
+    pairs = [(H, H)] + [(G, b) for b in bad] + [(b, G) for b in bad]
+    differs = []
+    for r1, r2 in pairs:
+        p = direct_product(r1, r2)
+        assert not p.validation.passed, p.name
+        assert lattice(p) == closure_lattice(p), p.name
+        if set(closure_lattice(p)) != factor_products(r1, r2):
+            differs.append(p.name)
+    # deriving these lattices from the factors would be wrong
+    assert differs
+
+
+def test_a_product_lattice_is_derived_on_first_read():
+    G = parse_document(document_text("g.json"))
+    p = direct_product(G, G)
+    assert "hyperideals" not in p.memo and "hyperideals" not in G.memo
+    assert len(lattice(p)) == len(lattice(G)) ** 2
+    assert "hyperideals" in G.memo
