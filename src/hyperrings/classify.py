@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import g_product
+from .core import g_product, memoised
 from .ideals import (Hyperideal, ImproperIdealError, complement, lowest,
                      mask_of, radical_by_primes, row_masks, tuple_scan)
 
@@ -166,7 +166,7 @@ def _q_primary_eval(ring, members, k):
     rad = radical_by_primes(ring, members)
     if len(rad) == ring.size:
         return False, "radical is improper"
-    return _outcome(ring, rad, "prime")
+    return _outcome(ring, rad, "prime", None)
 
 
 def _kn_absorbing_q_primary_eval(ring, members, k):
@@ -210,43 +210,39 @@ _EVALUATORS = {
 }
 
 
-def _outcome(ring, members, name, k=None):
-    """The evaluator `name` on a member set of the ring, memoised there."""
-    key = (name, members, k)
-    try:
-        return ring.memo[key]
-    except KeyError:
-        pass
-    out = ring.memo[key] = _EVALUATORS[name](ring, members, k)
-    return out
+@memoised("outcome")
+def _outcome(ring, members, name, k):
+    """The evaluator `name` on a member set of the ring; k is None for the
+    predicates without one."""
+    return _EVALUATORS[name](ring, members, k)
 
 
 # -- public predicates -------------------------------------------------------
 
 def is_prime(ideal):
     _require_proper(ideal)
-    return _outcome(ideal.ring, ideal.members, "prime")[0]
+    return _outcome(ideal.ring, ideal.members, "prime", None)[0]
 
 
 def is_weakly_prime(ideal):
     _require_proper(ideal)
-    return _outcome(ideal.ring, ideal.members, "weakly_prime")[0]
+    return _outcome(ideal.ring, ideal.members, "weakly_prime", None)[0]
 
 
 def is_primary(ideal):
     _require_proper(ideal)
-    return _outcome(ideal.ring, ideal.members, "primary")[0]
+    return _outcome(ideal.ring, ideal.members, "primary", None)[0]
 
 
 def is_weakly_primary(ideal):
     _require_proper(ideal)
-    return _outcome(ideal.ring, ideal.members, "weakly_primary")[0]
+    return _outcome(ideal.ring, ideal.members, "weakly_primary", None)[0]
 
 
 def is_q_primary(ideal):
     """Radical is a proper, prime hyperideal."""
     _require_proper(ideal)
-    return _outcome(ideal.ring, ideal.members, "q_primary")[0]
+    return _outcome(ideal.ring, ideal.members, "q_primary", None)[0]
 
 
 def is_kn_absorbing(ideal, k):
@@ -272,12 +268,12 @@ def is_kn_absorbing_q_primary(ideal, k):
 
 def is_sq_primary(ideal):
     _require_proper(ideal)
-    return _outcome(ideal.ring, ideal.members, "sq_primary")[0]
+    return _outcome(ideal.ring, ideal.members, "sq_primary", None)[0]
 
 
 def is_wsq_primary(ideal):
     _require_proper(ideal)
-    return _outcome(ideal.ring, ideal.members, "wsq_primary")[0]
+    return _outcome(ideal.ring, ideal.members, "wsq_primary", None)[0]
 
 
 # -- classification records ---------------------------------------------------
@@ -321,19 +317,13 @@ def classify(ideal, k_max=2):
     hyperideals of valid structures; a violation raises
     InternalInconsistencyError.  The record is memoised in the ring's memo.
     """
+    return _classify(ideal.ring, ideal.members, ideal.valid, k_max)
+
+
+@memoised("classify")
+def _classify(ring, members, valid, k_max):
+    ideal = Hyperideal(ring, members, valid)
     _require_proper(ideal)
-    key = ("classify", ideal.members, ideal.valid, k_max)
-    try:
-        return ideal.ring.memo[key]
-    except KeyError:
-        pass
-    out = ideal.ring.memo[key] = _classify(ideal, k_max)
-    return out
-
-
-def _classify(ideal, k_max):
-    ring = ideal.ring
-    members = ideal.members
     outcomes = {}
     witnesses = {}
 
@@ -346,7 +336,7 @@ def _classify(ideal, k_max):
 
     for name in ("prime", "weakly_prime", "primary", "weakly_primary",
                  "q_primary", "sq_primary", "wsq_primary"):
-        record(name, *_outcome(ring, members, name))
+        record(name, *_outcome(ring, members, name, None))
     for k in range(2, k_max + 1):
         for name in ("absorbing", "absorbing_primary", "absorbing_q_primary"):
             record(f"{name}_k{k}", *_outcome(ring, members, name, k))

@@ -128,8 +128,9 @@ def _cmd_quotient(args):
 
 
 def _cmd_theorems(args):
+    # run_all refuses a failing structure itself
     if args.files:
-        structures = [_load(p, args.no_validate) for p in args.files]
+        structures = [_load(p, skip_validation=True) for p in args.files]
     else:
         structures = builtin_corpus()
     try:
@@ -194,7 +195,6 @@ def build_parser():
                        help="run the theorem harness (default: builtin corpus)")
     p.add_argument("files", nargs="*")
     p.add_argument("--kmax", type=int, default=2)
-    common(p)
     p.set_defaults(func=_cmd_theorems)
 
     return parser

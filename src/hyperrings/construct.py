@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import getitem
 
 from .core import (ArityError, HyperringTable, ValidationReport, Violation,
-                   f_extend)
+                   f_extend, memoised)
 from .ideals import (_members_of, closed_sets, make_hyperideal, product_pack,
                      worklist_closure)
 
@@ -57,17 +57,10 @@ class Homomorphism:
         return frozenset(x for x, y in enumerate(self.mapping) if y == z)
 
 
+@memoised("product")
 def direct_product(r1, r2):
-    """Componentwise product hyperring on the cartesian carrier."""
-    try:
-        return r1.memo[r2]  # a product lives with its first factor
-    except KeyError:
-        pass
-    out = r1.memo[r2] = _direct_product(r1, r2)
-    return out
-
-
-def _direct_product(r1, r2):
+    """Componentwise product hyperring on the cartesian carrier, memoised
+    in its first factor."""
     if (r1.m, r1.n) != (r2.m, r2.n):
         raise ArityError(f"arity mismatch: ({r1.m},{r1.n}) vs ({r2.m},{r2.n})")
     m, n = r1.m, r1.n
@@ -114,15 +107,10 @@ def quotient(ring, ideal):
     violations raise IllDefinedQuotientError with a witness.  Returns the
     quotient table and the projection homomorphism.
     """
-    key = ("quotient", _members_of(ideal))
-    try:
-        return ring.memo[key]
-    except KeyError:
-        pass
-    out = ring.memo[key] = _quotient(ring, key[1])
-    return out
+    return _quotient(ring, _members_of(ideal))
 
 
+@memoised("quotient")
 def _quotient(ring, q_members):
     if len(q_members) >= ring.size:
         raise ValueError("quotient needs a proper hyperideal")
@@ -250,14 +238,10 @@ def _subring_closure(ring, seed, base=frozenset()):
     return worklist_closure(ring, seed, False, base)
 
 
+@memoised("subhyperrings")
 def enumerate_subhyperrings(ring):
     """All subhyperrings: the closed sets of the subhyperring closure."""
-    try:
-        return ring.memo["subhyperrings"]
-    except KeyError:
-        pass
-    out = ring.memo["subhyperrings"] = closed_sets(ring, _subring_closure)
-    return out
+    return closed_sets(ring, _subring_closure)
 
 
 def scalar_identity_in(ring, members):

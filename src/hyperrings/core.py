@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, wraps
 from operator import and_, or_
 
 
@@ -61,6 +61,40 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
+def memoised(tag):
+    """Keep compute(ring, *args) in ring.memo[(tag, *args)], the only code
+    that reads or writes a computed memo entry.  Every call site passes the
+    same arity, so one computation has one entry.  A miss computes after
+    the try block, so a build error does not chain the lookup's KeyError,
+    and a call that raises stores nothing.  A compute of one argument
+    after the ring gets a wrapper without *args, which CPython 3.11 calls
+    inline: memo hits are most of a warm pass."""
+    head = (tag,)
+
+    def decorate(compute):
+        def cached(ring, *args):
+            key = head + args
+            try:
+                return ring.memo[key]
+            except KeyError:
+                pass
+            value = ring.memo[key] = compute(ring, *args)
+            return value
+
+        def cached_one(ring, arg):
+            key = (tag, arg)
+            try:
+                return ring.memo[key]
+            except KeyError:
+                pass
+            value = ring.memo[key] = compute(ring, arg)
+            return value
+
+        return wraps(compute)(cached_one if compute.__code__.co_argcount == 2
+                              else cached)
+    return decorate
+
+
 class _first_read:
     """functools.cached_property, but stored with setattr: cached_property
     writes through the instance __dict__, which on CPython 3.11 makes every
@@ -85,12 +119,9 @@ class HyperringTable:
     total.  Instances are treated as immutable after construction and are
     hashed by identity.  `validation` is the `validate_krasner` report,
     computed on first read; `direct_product` and `quotient` set it instead
-    on a product or quotient of passing tables.  `memo` holds all data
-    derived from the table (ideal lattice, absorption index, value rows,
-    row masks, radicals, outcomes and records of predicates, quotients,
-    subhyperrings, products with the table as first factor, keyed by the
-    second, and a certified product's factors), released with it.
-    A failed computation stores nothing, so it fails again when repeated.
+    on a product or quotient of passing tables.  `memo` holds the data
+    derived from the table, each datum kept there by `memoised`, and a
+    certified product's factors; it is released with the table.
     """
 
     def __init__(self, name, m, n, labels, zero, one, f, g,
@@ -106,7 +137,7 @@ class HyperringTable:
         self.size = len(self.labels)
         self.zero = zero
         self.one = one
-        self.f = dict(f)
+        self.f = {t: frozenset(value) for t, value in f.items()}
         self.g = dict(g)
         self.commutative_f = commutative_f
         self.commutative_g = commutative_g
@@ -116,19 +147,24 @@ class HyperringTable:
         self._check_total()
 
     def _check_total(self):
-        rng = range(self.size)
-        for t in itertools.product(rng, repeat=self.m):
-            if t not in self.f:
-                raise ValueError(f"f table not total: missing {self.tuple_label(t)}")
-            value = self.f[t] = frozenset(self.f[t])
-            if not all(isinstance(x, int) and 0 <= x < self.size for x in value):
-                raise ValueError(f"f value out of carrier at {self.tuple_label(t)}")
-        for t in itertools.product(rng, repeat=self.n):
-            if t not in self.g:
-                raise ValueError(f"g table not total: missing {self.tuple_label(t)}")
-            v = self.g[t]
-            if not isinstance(v, int) or not 0 <= v < self.size:
-                raise ValueError(f"g value out of carrier at {self.tuple_label(t)}")
+        """Name the first tuple, in product order, that f or g lacks or maps
+        outside the carrier; extra keys are allowed.  Distinct values are
+        checked once each, and only a failing table is walked."""
+        def element(x):
+            return isinstance(x, int) and 0 <= x < self.size
+
+        for name, table, arity, ok in (
+                ("f", self.f, self.m, lambda value: all(map(element, value))),
+                ("g", self.g, self.n, element)):
+            tuples = itertools.product(range(self.size), repeat=arity)
+            if all(map(table.__contains__, tuples)) and all(map(ok, set(table.values()))):
+                continue
+            for t in itertools.product(range(self.size), repeat=arity):
+                if t not in table:
+                    raise ValueError(f"{name} table not total: "
+                                     f"missing entry for {self.tuple_label(t)}")
+                if not ok(table[t]):
+                    raise ValueError(f"{name} value out of carrier at {self.tuple_label(t)}")
 
     # -- label helpers ----------------------------------------------------
 

@@ -119,23 +119,20 @@ def parse_document(text, validate=True):
                     table[perm] = out
             else:
                 table[t] = out
-        for t in itertools.product(range(len(elements)), repeat=arity):
-            if t not in table:
-                raise DocumentError(
-                    f"non-total {which} table: missing entry for "
-                    f"{','.join(elements[i] for i in t)}")
         return table
 
     f = parse_table(doc["f"], m, comm_f, "f")
     g = parse_table(doc["g"], n, comm_g, "g")
+    try:
+        ring = HyperringTable(name=name, m=m, n=n, labels=elements, zero=zero,
+                              one=one, f=f, g=g, commutative_f=comm_f,
+                              commutative_g=comm_g)
+    except ValueError as e:    # a table that is not total
+        raise DocumentError(str(e)) from None
     notes = doc.get("notes")
     if notes is not None and (not isinstance(notes, list)
                               or any(not isinstance(s, str) for s in notes)):
         raise DocumentError("notes must be an array of strings")
-
-    ring = HyperringTable(name=name, m=m, n=n, labels=elements, zero=zero,
-                          one=one, f=f, g=g, commutative_f=comm_f,
-                          commutative_g=comm_g)
     ring.notes = tuple(notes) if notes else ()
     if validate and not ring.validation.passed:
         raise DocumentValidationError(ring.validation, name)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .core import ArityError, g_product
+from .core import ArityError, g_product, memoised
 
 
 class ImproperIdealError(ValueError):
@@ -122,22 +122,14 @@ def ideal_from_labels(ring, labels, strict=True):
     return make_hyperideal(ring, members, strict=strict)
 
 
+@memoised("absorption")
 def absorption_index(ring):
     """For each element x, the g-values of every n-tuple containing x.
 
     A set holding x is absorbing at x exactly when it contains this set,
     so a closure absorbs a new element with one union.  Built in one pass
-    over the g table and memoised in the ring's memo.
+    over the g table.
     """
-    try:
-        return ring.memo["absorption"]
-    except KeyError:
-        pass
-    out = ring.memo["absorption"] = _absorption_index(ring)
-    return out
-
-
-def _absorption_index(ring):
     out = [set() for _ in ring.carrier]
     for t, v in ring.g.items():
         for x in t:
@@ -216,6 +208,7 @@ def closed_sets(ring, closure):
     return _canonical_order(found)
 
 
+@memoised("hyperideals")
 def enumerate_hyperideals(ring):
     """All hyperideals, R included: the closed sets of ideal_closure, or,
     on a product of passing factors, the I1 x I2 of their lattices.
@@ -223,15 +216,6 @@ def enumerate_hyperideals(ring):
     Verified against the 2^|R| brute-force filter for small carriers, and
     the products against the closure search, in the test suite.
     """
-    try:
-        return ring.memo["hyperideals"]
-    except KeyError:
-        pass
-    out = ring.memo["hyperideals"] = _enumerate_hyperideals(ring)
-    return out
-
-
-def _enumerate_hyperideals(ring):
     factors = ring.memo.get("factors")
     sets = (closed_sets(ring, ideal_closure) if factors is None
             else _product_lattice(*factors))
@@ -255,18 +239,10 @@ def proper_hyperideals(ring):
     return [p for p in enumerate_hyperideals(ring) if p.proper]
 
 
+@memoised("value_rows")
 def value_rows(ring):
     """For each (n-1)-tuple key, the list over values v of the bitmask of
-    the c with g(key, c) = v: one pass over the g table, memoised."""
-    try:
-        return ring.memo["value_rows"]
-    except KeyError:
-        pass
-    out = ring.memo["value_rows"] = _value_rows(ring)
-    return out
-
-
-def _value_rows(ring):
+    the c with g(key, c) = v: one pass over the g table."""
     out = {key: [0] * ring.size
            for key in itertools.product(ring.carrier, repeat=ring.n - 1)}
     for t, v in ring.g.items():
@@ -274,19 +250,10 @@ def _value_rows(ring):
     return out
 
 
+@memoised("rows")
 def row_masks(ring, members):
     """For each (n-1)-tuple key, the bitmask of the c with g(key, c) in
     members, a union of value rows, memoised by the member set."""
-    key = ("rows", members)
-    try:
-        return ring.memo[key]
-    except KeyError:
-        pass
-    out = ring.memo[key] = _row_masks(ring, members)
-    return out
-
-
-def _row_masks(ring, members):
     return {key: reduce(or_, map(row.__getitem__, members), 0)
             for key, row in value_rows(ring).items()}
 
@@ -325,16 +292,8 @@ def tuple_scan(ring, members, rest, rad=frozenset(), weak=False):
     return True, None
 
 
+@memoised("prime_hyperideals")
 def prime_hyperideals(ring):
-    try:
-        return ring.memo["prime_hyperideals"]
-    except KeyError:
-        pass
-    out = ring.memo["prime_hyperideals"] = _prime_hyperideals(ring)
-    return out
-
-
-def _prime_hyperideals(ring):
     return [p for p in enumerate_hyperideals(ring)
             if p.proper
             and tuple_scan(ring, p.members, complement(ring, p.members))[0]]
@@ -349,15 +308,10 @@ def _members_of(ideal_or_set):
 def radical_by_primes(ring, ideal):
     """Intersection of the prime hyperideals containing the ideal; R when
     no prime contains it."""
-    key = ("radical_by_primes", _members_of(ideal))
-    try:
-        return ring.memo[key]
-    except KeyError:
-        pass
-    out = ring.memo[key] = _radical_by_primes(ring, key[1])
-    return out
+    return _radical_by_primes(ring, _members_of(ideal))
 
 
+@memoised("radical_by_primes")
 def _radical_by_primes(ring, members):
     out = None
     for p in prime_hyperideals(ring):
@@ -372,15 +326,10 @@ def radical_by_powers(ring, ideal):
     Over a finite carrier the power sequence is eventually periodic, so
     powers up to |R| suffice.
     """
-    key = ("radical_by_powers", _members_of(ideal))
-    try:
-        return ring.memo[key]
-    except KeyError:
-        pass
-    out = ring.memo[key] = _radical_by_powers(ring, key[1])
-    return out
+    return _radical_by_powers(ring, _members_of(ideal))
 
 
+@memoised("radical_by_powers")
 def _radical_by_powers(ring, members):
     return frozenset(a for a in ring.carrier
                      if not members.isdisjoint(_power_chain(ring, a, ring.size)))

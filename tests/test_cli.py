@@ -191,8 +191,7 @@ class TestTheorems:
             GOLDEN / "theorems_builtin_kmax1.txt").read_bytes()
 
     def test_rejected_structure_is_an_error_not_a_traceback(self, docs, capsys):
-        code, out, err = run(capsys, "theorems", "--no-validate",
-                             str(docs / "h.json"))
+        code, out, err = run(capsys, "theorems", str(docs / "h.json"))
         assert code == 1
         assert out == ""
         assert err.startswith("error: H fails axiom validation (108 violations)")

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from hyperrings.core import (ArityError, ValidationReport, f_extend, g_power,
-                             g_product, validate_canonical_hypergroup,
-                             validate_krasner)
+from hyperrings.core import (ArityError, HyperringTable, ValidationReport,
+                             f_extend, g_power, g_product,
+                             validate_canonical_hypergroup, validate_krasner)
 
 from conftest import mutate
 
@@ -222,3 +222,53 @@ class TestValidators:
 
     def test_render_is_deterministic(self, H):
         assert H.validation.render("H") == H.validation.render("H")
+
+
+class TestTableShape:
+    """The constructor rejects a table that is not total or has a value
+    outside the carrier, naming the first bad tuple in product order (f's
+    tuples before g's); keys beyond the tuples are allowed."""
+
+    @staticmethod
+    def build(G, f_edits=(), g_edits=()):
+        f, g = dict(G.f), dict(G.g)
+        for table, edits in ((f, f_edits), (g, g_edits)):
+            for t, value in edits:
+                if value is None:
+                    del table[t]
+                else:
+                    table[t] = value
+        return HyperringTable("T", 2, 2, G.labels, G.zero, G.one, f, g)
+
+    def test_missing_f_entry(self, G):
+        with pytest.raises(ValueError, match=r"^f table not total: missing entry for 1,6$"):
+            self.build(G, f_edits=[((2, 0), None), ((1, 5), None)])
+
+    def test_missing_g_entry(self, G):
+        with pytest.raises(ValueError, match=r"^g table not total: missing entry for 3,0$"):
+            self.build(G, g_edits=[((3, 0), None)])
+
+    def test_f_value_out_of_carrier(self, G):
+        with pytest.raises(ValueError, match=r"^f value out of carrier at 1,3$"):
+            self.build(G, f_edits=[((2, 1), {0, 6}), ((1, 3), {-1})])
+        with pytest.raises(ValueError, match=r"^f value out of carrier at 0,2$"):
+            self.build(G, f_edits=[((0, 2), {"2"})])
+
+    def test_g_value_out_of_carrier(self, G):
+        with pytest.raises(ValueError, match=r"^g value out of carrier at 4,4$"):
+            self.build(G, g_edits=[((5, 0), -1), ((4, 4), 6)])
+        with pytest.raises(ValueError, match=r"^g value out of carrier at 0,0$"):
+            self.build(G, g_edits=[((0, 0), "0")])
+
+    def test_first_bad_tuple_wins(self, G):
+        with pytest.raises(ValueError, match=r"^f value out of carrier at 0,1$"):
+            self.build(G, f_edits=[((0, 1), {9}), ((0, 2), None)])
+        with pytest.raises(ValueError, match=r"^f table not total: missing entry for 0,1$"):
+            self.build(G, f_edits=[((0, 1), None), ((0, 2), {9})])
+        with pytest.raises(ValueError, match=r"^f table not total: missing entry for 6,6$"):
+            self.build(G, f_edits=[((5, 5), None)], g_edits=[((0, 0), None)])
+
+    def test_extra_keys_and_set_values_are_allowed(self, G):
+        ring = self.build(G, f_edits=[((7, 7), {0})], g_edits=[((0, 0, 0), 0)])
+        assert ring.f[(7, 7)] == {0}
+        assert self.build(G, f_edits=[((1, 2), [2, 1, 2])]).f[(1, 2)] == frozenset({1, 2})

@@ -7,14 +7,22 @@ import weakref
 import pytest
 
 from hyperrings.classify import (ClassificationRecord,
-                                 InternalInconsistencyError, classify)
+                                 InternalInconsistencyError, _outcome,
+                                 classify, is_kn_absorbing,
+                                 is_kn_absorbing_primary,
+                                 is_kn_absorbing_q_primary, is_primary,
+                                 is_prime, is_q_primary, is_sq_primary,
+                                 is_weakly_primary, is_weakly_prime,
+                                 is_wsq_primary)
 from hyperrings.construct import (direct_product, enumerate_subhyperrings,
                                   quotient)
 from hyperrings.corpus import document_text
 from hyperrings.documents import parse_document
-from hyperrings.ideals import (ImproperIdealError, enumerate_hyperideals,
-                               ideal_from_labels, make_hyperideal,
-                               radical_by_powers, radical_by_primes)
+from hyperrings.ideals import (ImproperIdealError, absorption_index,
+                               enumerate_hyperideals, ideal_from_labels,
+                               make_hyperideal, prime_hyperideals,
+                               radical_by_powers, radical_by_primes,
+                               row_masks, value_rows)
 from hyperrings.theorems import run_all
 
 classify_module = importlib.import_module("hyperrings.classify")
@@ -40,6 +48,11 @@ class TestMemoIdentity:
             "radical_by_primes": lambda: radical_by_primes(G, zero),
             "radical_by_powers": lambda: radical_by_powers(G, zero),
             "classify": lambda: classify(p, 3),
+            "absorption_index": lambda: absorption_index(G),
+            "value_rows": lambda: value_rows(G),
+            "row_masks": lambda: row_masks(G, p.members),
+            "prime_hyperideals": lambda: prime_hyperideals(G),
+            "_outcome": lambda: _outcome(G, p.members, "wsq_primary", None),
         }
         for name, call in calls.items():
             assert call() is call(), name
@@ -52,6 +65,24 @@ class TestMemoIdentity:
         assert radical_by_primes(G, zero) is radical_by_primes(
             G, make_hyperideal(G, {G.zero}))
         assert classify(p) is classify(ideal_from_labels(G, "4,0"))
+
+    def test_repeating_a_predicate_adds_no_entry(self):
+        G = fresh_g()
+        p = ideal_from_labels(G, "0,4")
+        predicates = [is_prime, is_weakly_prime, is_primary, is_weakly_primary,
+                      is_q_primary, is_sq_primary, is_wsq_primary]
+        predicates += [lambda q, k=k, pred=pred: pred(q, k) for k in (2, 3)
+                       for pred in (is_kn_absorbing, is_kn_absorbing_primary,
+                                    is_kn_absorbing_q_primary)]
+        for predicate in predicates:
+            predicate(p)
+            before = list(G.memo)
+            predicate(p)
+            assert list(G.memo) == before
+        # _outcome and classify read the entries the predicates wrote
+        _outcome(G, p.members, "wsq_primary", None)
+        classify(p, 3)
+        assert len(G.memo) == len(before) + 1
 
     def test_product_lives_in_the_first_factor(self):
         G = fresh_g()
@@ -110,7 +141,7 @@ class TestFailedCallsStoreNothing:
         whole = make_hyperideal(G, G.full_set)
         self.raises_twice(G, ImproperIdealError, lambda: classify(whole))
         # only the absorption index, which the hyperideal test builds
-        assert list(G.memo) == ["absorption"]
+        assert list(G.memo) == [("absorption",)]
 
     def test_forced_disagreement(self, monkeypatch):
         original = classify_module._kn_absorbing_eval

@@ -165,6 +165,6 @@ def test_failing_factors_take_the_closure_search(G, H, G_mod_0246):
 def test_a_product_lattice_is_derived_on_first_read():
     G = parse_document(document_text("g.json"))
     p = direct_product(G, G)
-    assert "hyperideals" not in p.memo and "hyperideals" not in G.memo
+    assert ("hyperideals",) not in p.memo and ("hyperideals",) not in G.memo
     assert len(lattice(p)) == len(lattice(G)) ** 2
-    assert "hyperideals" in G.memo
+    assert ("hyperideals",) in G.memo
