@@ -8,8 +8,11 @@ is a prefix and a last entry c, and `ideals.row_masks` gives, for each
 prefix, the bitmask of the c whose g-value lies in a set.  A prefix
 settles every c at once with a few mask operations, and since c varies
 fastest, the witness is the first failing prefix with its least c left.
-Predicates require a proper hyperideal and raise ImproperIdealError
-otherwise.
+Every predicate is an entry of `_EVALUATORS`, read through the memoised
+`_outcome`.  That table names the predicates and orders a classification
+record (`_record_entries`); `_outcome` checks, on a memo miss only, that
+the ideal is proper (else ImproperIdealError) and that k is positive.  A
+call that raises stores nothing, so a memo hit is always a checked call.
 """
 from __future__ import annotations
 
@@ -24,14 +27,6 @@ from .ideals import (Hyperideal, ImproperIdealError, complement, lowest,
 
 class InternalInconsistencyError(RuntimeError):
     """Two characterizations that must agree disagreed: implementation bug."""
-
-
-def _require_proper(ideal, k=1):
-    if not ideal.proper:
-        raise ImproperIdealError(
-            f"{ideal.render()} is the whole of {ideal.ring.name}")
-    if k < 1:
-        raise ValueError("k must be positive")
 
 
 def _squares(ring):
@@ -58,12 +53,12 @@ def _primary_eval(ring, members, rad):
     return True, None
 
 
-def _sq_eval(ring, members, rad, weak):
+def _sq_eval(ring, members, weak):
     """Tuples with an entry whose square lies in the ideal pass."""
     squares = _squares(ring)
     return tuple_scan(ring, members,
                       [x for x in ring.carrier if squares[x] not in members],
-                      rad, weak)
+                      radical_by_primes(ring, members), weak)
 
 
 # -- absorbing predicates ---------------------------------------------------
@@ -156,10 +151,6 @@ def _kn_absorbing_eval(ring, members, target, k):
                            not ring.commutative_g)
 
 
-def _kn_absorbing_primary_eval(ring, members, rad, k):
-    return _absorbing_scan(ring, members, members, rad, k, True)
-
-
 # -- memoised outcomes --------------------------------------------------------
 
 def _q_primary_eval(ring, members, k):
@@ -187,7 +178,9 @@ def _kn_absorbing_q_primary_eval(ring, members, k):
     return direct
 
 
-# predicate name -> evaluator(ring, members, k), giving (ok, witness)
+# predicate name -> evaluator(ring, members, k), giving (ok, witness), in
+# record order: the seven n-tuple predicates, the three of k, then the tuple
+# form of absorbing q-primary, a cross-check that no record lists
 _EVALUATORS = {
     "prime": lambda ring, p, k: tuple_scan(ring, p, complement(ring, p)),
     "weakly_prime": lambda ring, p, k: tuple_scan(
@@ -197,61 +190,69 @@ _EVALUATORS = {
     "weakly_primary": lambda ring, p, k: tuple_scan(
         ring, p, complement(ring, p), radical_by_primes(ring, p), weak=True),
     "q_primary": _q_primary_eval,
-    "sq_primary": lambda ring, p, k: _sq_eval(
-        ring, p, radical_by_primes(ring, p), weak=False),
-    "wsq_primary": lambda ring, p, k: _sq_eval(
-        ring, p, radical_by_primes(ring, p), weak=True),
+    "sq_primary": lambda ring, p, k: _sq_eval(ring, p, weak=False),
+    "wsq_primary": lambda ring, p, k: _sq_eval(ring, p, weak=True),
     "absorbing": lambda ring, p, k: _kn_absorbing_eval(ring, p, p, k),
-    "absorbing_primary": lambda ring, p, k: _kn_absorbing_primary_eval(
-        ring, p, radical_by_primes(ring, p), k),
+    "absorbing_primary": lambda ring, p, k: _absorbing_scan(
+        ring, p, p, radical_by_primes(ring, p), k, True),
+    "absorbing_q_primary": _kn_absorbing_q_primary_eval,
     "absorbing_q_primary_tuples": lambda ring, p, k: _kn_absorbing_eval(
         ring, p, radical_by_primes(ring, p), k),
-    "absorbing_q_primary": _kn_absorbing_q_primary_eval,
 }
+
+
+def _record_entries(k_max):
+    """(label, predicate, k) for each entry of a classification record, in
+    order: the n-tuple predicates, then those of k for each k in 2..k_max."""
+    names = list(_EVALUATORS)
+    for name in names[:7]:
+        yield name, name, None
+    for k in range(2, k_max + 1):
+        for name in names[7:10]:
+            yield f"{name}_k{k}", name, k
 
 
 @memoised("outcome")
 def _outcome(ring, members, name, k):
-    """The evaluator `name` on a member set of the ring; k is None for the
-    predicates without one."""
+    """The evaluator `name` on a proper member set of the ring; k is None
+    for the predicates without one.  Both preconditions are checked here,
+    on the miss."""
+    if len(members) == ring.size:
+        raise ImproperIdealError(
+            f"{ring.subset_label(members)} is the whole of {ring.name}")
+    if k is not None and k < 1:
+        raise ValueError("k must be positive")
     return _EVALUATORS[name](ring, members, k)
 
 
 # -- public predicates -------------------------------------------------------
 
 def is_prime(ideal):
-    _require_proper(ideal)
     return _outcome(ideal.ring, ideal.members, "prime", None)[0]
 
 
 def is_weakly_prime(ideal):
-    _require_proper(ideal)
     return _outcome(ideal.ring, ideal.members, "weakly_prime", None)[0]
 
 
 def is_primary(ideal):
-    _require_proper(ideal)
     return _outcome(ideal.ring, ideal.members, "primary", None)[0]
 
 
 def is_weakly_primary(ideal):
-    _require_proper(ideal)
     return _outcome(ideal.ring, ideal.members, "weakly_primary", None)[0]
 
 
 def is_q_primary(ideal):
     """Radical is a proper, prime hyperideal."""
-    _require_proper(ideal)
     return _outcome(ideal.ring, ideal.members, "q_primary", None)[0]
 
 
 def is_kn_absorbing(ideal, k):
-    _require_proper(ideal, k)
     return _outcome(ideal.ring, ideal.members, "absorbing", k)[0]
 
 
 def is_kn_absorbing_primary(ideal, k):
-    _require_proper(ideal, k)
     return _outcome(ideal.ring, ideal.members, "absorbing_primary", k)[0]
 
 
@@ -262,17 +263,14 @@ def is_kn_absorbing_q_primary(ideal, k):
     tuple-level condition on the ideal itself; the two must agree.  When
     the radical is improper the answer is False.
     """
-    _require_proper(ideal, k)
     return _outcome(ideal.ring, ideal.members, "absorbing_q_primary", k)[0]
 
 
 def is_sq_primary(ideal):
-    _require_proper(ideal)
     return _outcome(ideal.ring, ideal.members, "sq_primary", None)[0]
 
 
 def is_wsq_primary(ideal):
-    _require_proper(ideal)
     return _outcome(ideal.ring, ideal.members, "wsq_primary", None)[0]
 
 
@@ -283,7 +281,6 @@ class ClassificationRecord:
     ideal: Hyperideal
     outcomes: dict
     witnesses: dict
-    k_range: tuple
 
     def render_lines(self):
         lines = []
@@ -323,23 +320,15 @@ def classify(ideal, k_max=2):
 @memoised("classify")
 def _classify(ring, members, valid, k_max):
     ideal = Hyperideal(ring, members, valid)
-    _require_proper(ideal)
     outcomes = {}
     witnesses = {}
-
-    def record(name, ok, witness):
-        outcomes[name] = ok
+    for label, name, k in _record_entries(k_max):
+        ok, witness = _outcome(ring, members, name, k)
+        outcomes[label] = ok
         if not ok and witness is not None:
             if isinstance(witness, tuple):
                 witness = f"({ring.tuple_label(witness)})"
-            witnesses[name] = witness
-
-    for name in ("prime", "weakly_prime", "primary", "weakly_primary",
-                 "q_primary", "sq_primary", "wsq_primary"):
-        record(name, *_outcome(ring, members, name, None))
-    for k in range(2, k_max + 1):
-        for name in ("absorbing", "absorbing_primary", "absorbing_q_primary"):
-            record(f"{name}_k{k}", *_outcome(ring, members, name, k))
+            witnesses[label] = witness
 
     # the implications are theorems about valid structures; they are not
     # asserted for deviant subsets or known-deviant ambient tables
@@ -350,5 +339,4 @@ def _classify(ring, members, valid, k_max):
             if outcomes.get(a) and outcomes.get(b) is False:
                 raise InternalInconsistencyError(
                     f"{a} holds but {b} fails on {ideal.render()} of {ring.name}")
-    return ClassificationRecord(ideal, outcomes, witnesses,
-                                tuple(range(2, k_max + 1)))
+    return ClassificationRecord(ideal, outcomes, witnesses)

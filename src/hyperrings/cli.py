@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .classify import InternalInconsistencyError, classify
-from .construct import direct_product, quotient, IllDefinedQuotientError
+from .construct import direct_product, quotient
 from .corpus import builtin_corpus
 from .documents import DocumentError, load_path, serialize_document
 from .ideals import (ImproperIdealError, enumerate_hyperideals,
@@ -102,7 +102,7 @@ def _cmd_product(args):
     b = _load(args.file_b, args.no_validate)
     try:
         ring = direct_product(a, b)
-    except Exception as e:
+    except ValueError as e:
         raise _CliError(str(e), 2)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(serialize_document(ring))
@@ -119,7 +119,7 @@ def _cmd_quotient(args):
                         f"({bad[0]})", 1)
     try:
         table, _ = quotient(ring, make_hyperideal(ring, members))
-    except (IllDefinedQuotientError, ValueError) as e:
+    except ValueError as e:
         raise _CliError(str(e), 1)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(serialize_document(table))

@@ -93,10 +93,10 @@ def direct_product(r1, r2):
     return ring
 
 
-def product_ideal(ring, r1, r2, m1, m2, strict=True):
+def product_ideal(ring, r1, r2, m1, m2):
     """The ideal I1 x I2 inside a direct product built from r1, r2."""
     members = frozenset(product_pack(r2, a, b) for a in m1 for b in m2)
-    return make_hyperideal(ring, members, strict=strict)
+    return make_hyperideal(ring, members)
 
 
 def quotient(ring, ideal):

@@ -117,9 +117,9 @@ def make_hyperideal(ring, members, strict=True):
     return Hyperideal(ring, members, valid=valid)
 
 
-def ideal_from_labels(ring, labels, strict=True):
+def ideal_from_labels(ring, labels):
     members = frozenset(ring.index(lab) for lab in labels.split(","))
-    return make_hyperideal(ring, members, strict=strict)
+    return make_hyperideal(ring, members)
 
 
 @memoised("absorption")
@@ -370,7 +370,6 @@ def generated_by(ring, x):
 class IdealSetPair:
     """P_r and A_r for an anchor element r: the elements whose g-product
     with r lands in P, respectively equals zero."""
-    anchor: int
     p_r: frozenset
     a_r: frozenset
 
@@ -380,7 +379,7 @@ def quotient_sets(ring, ideal, r):
     products = [g_product(ring, (r, a)) for a in ring.carrier]
     p_r = frozenset(a for a, v in enumerate(products) if v in members)
     a_r = frozenset(a for a, v in enumerate(products) if v == ring.zero)
-    return IdealSetPair(r, p_r, a_r)
+    return IdealSetPair(p_r, a_r)
 
 
 @dataclass(frozen=True)

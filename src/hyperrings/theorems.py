@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
 
-from .classify import (_IMPLICATIONS, _outcome, _squares, classify,
-                       is_kn_absorbing_primary, is_kn_absorbing_q_primary,
-                       is_q_primary, is_sq_primary, is_weakly_prime,
-                       is_weakly_primary, is_wsq_primary)
+from .classify import (_IMPLICATIONS, _outcome, _record_entries, _squares,
+                       classify, is_kn_absorbing_primary,
+                       is_kn_absorbing_q_primary, is_q_primary, is_sq_primary,
+                       is_weakly_prime, is_weakly_primary, is_wsq_primary)
 
 from .construct import (Homomorphism, direct_product,
                         enumerate_subhyperrings, image_ideal,
@@ -641,11 +641,7 @@ class ImplicationMatrix:
 def implication_matrix(structures, k=2):
     """Empirical implication map over every proper hyperideal of the
     given structures; an entry is None when no counterexample exists."""
-    names = ["prime", "weakly_prime", "primary", "weakly_primary", "q_primary",
-             "sq_primary", "wsq_primary"]
-    for kk in range(2, k + 1):
-        names += [f"absorbing_k{kk}", f"absorbing_primary_k{kk}",
-                  f"absorbing_q_primary_k{kk}"]
+    names = [label for label, _, _ in _record_entries(k)]
     records = []
     for ring in structures:
         for p in proper_hyperideals(ring):

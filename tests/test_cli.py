@@ -170,6 +170,17 @@ class TestProductAndQuotient:
         assert code == 2
         assert "arity" in err
 
+    def test_product_internal_fault_is_not_a_usage_error(
+            self, docs, tmp_path, monkeypatch):
+        def broken(a, b):
+            raise RuntimeError("fault inside direct_product")
+
+        monkeypatch.setattr(cli, "direct_product", broken)
+        with pytest.raises(RuntimeError, match="fault inside direct_product"):
+            main(["product", str(docs / "g.json"), str(docs / "g.json"),
+                  "-o", str(tmp_path / "x.json")])
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestTheorems:
     def test_single_file(self, docs, capsys):

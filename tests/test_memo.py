@@ -136,6 +136,31 @@ class TestFailedCallsStoreNothing:
             quotient(G, G.full_set)
         assert info.value.__context__ is None
 
+    @pytest.mark.parametrize("predicate", [
+        is_prime, is_weakly_prime, is_primary, is_weakly_primary,
+        is_q_primary, is_sq_primary, is_wsq_primary,
+        *(pytest.param(lambda p, pred=pred: pred(p, 2), id=pred.__name__)
+          for pred in (is_kn_absorbing, is_kn_absorbing_primary,
+                       is_kn_absorbing_q_primary))])
+    def test_predicate_on_an_improper_ideal(self, predicate):
+        G = fresh_g()
+        whole = make_hyperideal(G, G.full_set)
+        before = list(G.memo)
+        self.raises_twice(G, ImproperIdealError, lambda: predicate(whole),
+                          match=r"^\{0,1,2,3,4,6\} is the whole of G$")
+        # in particular, no "outcome" entry
+        assert list(G.memo) == before
+
+    @pytest.mark.parametrize("predicate", [
+        is_kn_absorbing, is_kn_absorbing_primary, is_kn_absorbing_q_primary])
+    def test_k_predicate_at_k_zero(self, predicate):
+        G = fresh_g()
+        p = ideal_from_labels(G, "0,4")
+        before = list(G.memo)
+        self.raises_twice(G, ValueError, lambda: predicate(p, 0),
+                          match="^k must be positive$")
+        assert list(G.memo) == before
+
     def test_classify_of_an_improper_ideal(self):
         G = fresh_g()
         whole = make_hyperideal(G, G.full_set)

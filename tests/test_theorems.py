@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+from hyperrings.classify import classify
+from hyperrings.ideals import proper_hyperideals
 from hyperrings.theorems import (KNOWN_IMPLICATIONS, THEOREM_IDS,
                                  StructureRejectedError, implication_matrix,
                                  run_all, run_theorem, summary_line)
@@ -142,3 +144,9 @@ class TestImplicationMatrix:
         # the golden matrix freezes that empirical outcome
         matrix = implication_matrix(corpus)
         assert matrix.holds("q_primary", "sq_primary")
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_predicates_are_the_record_entries(self, corpus, k):
+        p = proper_hyperideals(corpus[0])[0]
+        assert implication_matrix(corpus, k).predicates == tuple(
+            classify(p, k).outcomes)
