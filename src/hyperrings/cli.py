@@ -128,6 +128,8 @@ def _cmd_quotient(args):
 
 
 def _cmd_theorems(args):
+    if args.kmax < 1:
+        raise _CliError(f"--kmax must be at least 1, got {args.kmax}", 2)
     # run_all refuses a failing structure itself
     if args.files:
         structures = [_load(p, skip_validation=True) for p in args.files]

@@ -5,9 +5,10 @@ representatives, so well-definedness of the induced operations is an
 explicit, exhaustively checked assertion instead of an assumption.
 A built table is validated when its `validation` is first read, except that
 products and quotients of passing tables are certified (FINDINGS.md).  A
-product's tables are built in one pass over its factors' entries, and a
-certified product records its factors, from which its hyperideal lattice
-is derived.
+product's tables are built in one pass over its factors' entries.  A
+certified product records its factors, and a certified quotient its
+parent, hyperideal and projection; the hyperideal lattice is derived from
+them.
 """
 from __future__ import annotations
 
@@ -169,9 +170,12 @@ def _quotient(ring, q_members):
         labels=labels, zero=proj[ring.zero], one=proj[ring.one],
         f=induced["f"], g=induced["g"],
         commutative_f=ring.commutative_f, commutative_g=ring.commutative_g)
-    # f and g commute with proj, so every axiom passes to the image (FINDINGS.md)
+    # f and g commute with proj, so every axiom passes to the image, Q is a
+    # hyperideal, and every hyperideal is a p[I], I ⊇ Q, derived on first
+    # read (FINDINGS.md)
     if ring.validation.passed:
         out.validation = ValidationReport(True, [])
+        out.memo["parent"] = (ring, q_members, proj)
     return out, Homomorphism(ring, out, proj)
 
 

@@ -120,8 +120,9 @@ class HyperringTable:
     hashed by identity.  `validation` is the `validate_krasner` report,
     computed on first read; `direct_product` and `quotient` set it instead
     on a product or quotient of passing tables.  `memo` holds the data
-    derived from the table, each datum kept there by `memoised`, and a
-    certified product's factors; it is released with the table.
+    derived from the table, each datum kept there by `memoised`, a
+    certified product's factors and a certified quotient's parent; it is
+    released with the table.
     """
 
     def __init__(self, name, m, n, labels, zero, one, f, g,
@@ -137,7 +138,12 @@ class HyperringTable:
         self.size = len(self.labels)
         self.zero = zero
         self.one = one
-        self.f = {t: frozenset(value) for t, value in f.items()}
+        # constructions pass frozensets already; only other values are
+        # wrapped, in a copy, which halves the cost of a plain rewrap
+        self.f = dict(f)
+        for t, value in self.f.items():
+            if type(value) is not frozenset:
+                self.f[t] = frozenset(value)
         self.g = dict(g)
         self.commutative_f = commutative_f
         self.commutative_g = commutative_g

@@ -19,8 +19,10 @@ is a hyperideal exactly when its closure adds nothing, and that is how
 and serves as the test oracle.
 
 The hyperideals of a product of passing tables are the I1 x I2 of theirs
-(FINDINGS.md (v)), so such a product's lattice is built from its
-factors' lattices on first read, in the closure search's order.  The
+(FINDINGS.md (v)), and those of a quotient R/Q of a passing table are
+the images p[I] of the hyperideals I ⊇ Q of R (FINDINGS.md (vi)).  So
+the lattice of such a product or quotient is built from its factors' or
+its parent's lattice on first read, in the closure search's order.  The
 power radical reads all powers of an element off one chain of g lookups.
 """
 from __future__ import annotations
@@ -211,14 +213,20 @@ def closed_sets(ring, closure):
 @memoised("hyperideals")
 def enumerate_hyperideals(ring):
     """All hyperideals, R included: the closed sets of ideal_closure, or,
-    on a product of passing factors, the I1 x I2 of their lattices.
+    on a product of passing factors, the I1 x I2 of their lattices, or,
+    on a quotient R/Q of a passing table, the p[I] of its I ⊇ Q.
 
     Verified against the 2^|R| brute-force filter for small carriers, and
-    the products against the closure search, in the test suite.
+    the products and quotients against the closure search, in the test
+    suite.
     """
-    factors = ring.memo.get("factors")
-    sets = (closed_sets(ring, ideal_closure) if factors is None
-            else _product_lattice(*factors))
+    memo = ring.memo
+    if "factors" in memo:
+        sets = _product_lattice(*memo["factors"])
+    elif "parent" in memo:
+        sets = _quotient_lattice(*memo["parent"])
+    else:
+        sets = closed_sets(ring, ideal_closure)
     return [Hyperideal(ring, s, True) for s in sets]
 
 
@@ -233,6 +241,14 @@ def _product_lattice(r1, r2):
     return _canonical_order(
         frozenset(product_pack(r2, a, b) for a in p1.members for b in p2.members)
         for p1 in enumerate_hyperideals(r1) for p2 in enumerate_hyperideals(r2))
+
+
+def _quotient_lattice(parent, q_members, proj):
+    """Every p[I] with I ⊇ Q, in canonical order: the hyperideals of the
+    quotient of a passing table by Q (FINDINGS.md (vi))."""
+    return _canonical_order(
+        frozenset(map(proj.__getitem__, p.members))
+        for p in enumerate_hyperideals(parent) if q_members <= p.members)
 
 
 def proper_hyperideals(ring):

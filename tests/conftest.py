@@ -1,4 +1,7 @@
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +119,12 @@ def brute_force_hyperideals(ring):
             if is_hyperideal(ring, s):
                 out.append(s)
     return _canonical_order(out)
+
+
+def load_gen():
+    """perfbench/gen.py, the benchmark's generator, loaded read-only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)   # its dataclasses look themselves up there
+    return module

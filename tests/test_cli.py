@@ -207,6 +207,17 @@ class TestTheorems:
         assert out == ""
         assert err.startswith("error: H fails axiom validation (108 violations)")
 
+    @pytest.mark.parametrize("kmax", ["0", "-1"])
+    def test_kmax_below_one_is_a_usage_error(self, kmax, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_all ran")
+
+        monkeypatch.setattr(cli, "run_all", refuse)
+        code, out, err = run(capsys, "theorems", "--kmax", kmax)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --kmax must be at least 1, got {kmax}\n"
+
     def test_missing_theorem_file(self, capsys):
         assert run(capsys, "theorems", "/nonexistent.json")[0] == 2
 

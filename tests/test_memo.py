@@ -184,20 +184,24 @@ class TestFailedCallsStoreNothing:
 
 def _exercise_and_watch():
     """Derive everything the harness derives from a fresh G; return
-    weak references to G and to its square."""
+    weak references to G, to its square and to a quotient, whose memo
+    holds G as its parent while G's memo holds the quotient."""
     G = fresh_g()
     for p in enumerate_hyperideals(G):
         if p.proper:
             classify(p, 3)
-            quotient(G, p)
+            table, _ = quotient(G, p)
+            enumerate_hyperideals(table)
+    assert table.memo["parent"][0] is G
     product = direct_product(G, G)
     enumerate_hyperideals(product)
     run_all([G])
-    return weakref.ref(G), weakref.ref(product)
+    return weakref.ref(G), weakref.ref(product), weakref.ref(table)
 
 
 def test_derived_data_is_released_with_its_table():
-    g_ref, product_ref = _exercise_and_watch()
+    g_ref, product_ref, quotient_ref = _exercise_and_watch()
     gc.collect()
     assert g_ref() is None
     assert product_ref() is None
+    assert quotient_ref() is None

@@ -10,10 +10,7 @@ krasner-corpus tables, which `perfbench/gen.py` generates and this module
 only reads.  A product with a failing factor (H, or a corrupted table)
 must take the closure search.
 """
-import importlib.util
 import itertools
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -22,16 +19,7 @@ from hyperrings.corpus import document_text
 from hyperrings.documents import parse_document
 from hyperrings.ideals import closed_sets, enumerate_hyperideals, ideal_closure
 
-from conftest import mutate
-
-GEN = Path(__file__).parent.parent / "perfbench" / "gen.py"
-
-
-def load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_gen, mutate
 
 
 def reference_product_tables(r1, r2):

@@ -15,10 +15,7 @@ a quotient of a passing table; each must render exactly as the full scan
 does, on valid tables, on tables that are not folds, on folds whose reduct
 fails, on products with a failing factor and on a quotient of H.
 """
-import importlib.util
 import itertools
-import sys
-from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +26,7 @@ from hyperrings.corpus import document_text
 from hyperrings.documents import parse_document
 from hyperrings.ideals import proper_hyperideals
 
-from conftest import fold, mutate
+from conftest import fold, load_gen, mutate
 from strategies import corruptions
 
 
@@ -213,17 +210,8 @@ def test_corrupted_fold_33(G33, data):
 
 # -- structural fronts ----------------------------------------------------
 
-def _load_gen():
-    """perfbench/gen.py, the benchmark's generator, loaded read-only."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)   # its dataclasses look themselves up there
-    return module
-
-
 def test_krasner_corpus_folds_and_quotients():
-    folds = [item for item in _load_gen().krasner_corpus() if (item.m, item.n) != (2, 2)]
+    folds = [item for item in load_gen().krasner_corpus() if (item.m, item.n) != (2, 2)]
     assert len(folds) == 69
     for item in folds:
         ring = parse_document(item.text, validate=False)
