@@ -94,8 +94,8 @@ def _absorbing_scan(ring, members, lead, target, k, ordered):
 
     A subset without the last position settles the whole prefix; one with
     it clears its sub-prefix's row of target.  Unless ordered, only
-    non-decreasing tuples are scanned, which is sound for a symmetric
-    condition on a commutative g.
+    non-decreasing tuples are scanned: sound where the condition is
+    permutation-invariant, since the first failing tuple is then sorted.
     """
     n, g = ring.n, ring.g
     length = k * (n - 1) + 1
@@ -144,11 +144,10 @@ def _absorbing_scan(ring, members, lead, target, k, ordered):
 def _kn_absorbing_eval(ring, members, target, k):
     """Every qualifying tuple of the ideal has some small-subset product
     in target: the ideal itself for (k,n)-absorbing, its radical for the
-    tuple characterization of (k,n)-absorbing q-primary."""
-    # the condition is permutation-invariant, so sorted tuples suffice on
-    # a commutative g
+    tuple characterization of (k,n)-absorbing q-primary.  The condition is
+    permutation-invariant on a passing table, so sorted tuples suffice."""
     return _absorbing_scan(ring, members, target, target, k,
-                           not ring.commutative_g)
+                           not ring.validation.passed)
 
 
 # -- memoised outcomes --------------------------------------------------------

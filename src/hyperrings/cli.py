@@ -48,6 +48,19 @@ def _members(ring, spec):
         raise _CliError(str(e), 2)
 
 
+def _ideal(ring, spec, fatal=False):
+    """The --ideal set, decided once.  When it is not a hyperideal, a
+    warning names the first invariant it breaks, or with fatal an error."""
+    ideal = make_hyperideal(ring, _members(ring, spec), strict=False)
+    if not ideal.valid:
+        bad = (f"{ideal.render()} is not a hyperideal "
+               f"({hyperideal_violations(ring, ideal.members)[0]})")
+        if fatal:
+            raise _CliError(bad, 1)
+        print(f"warning: {bad}")
+    return ideal
+
+
 def _cmd_validate(args):
     ring = _load(args.file, skip_validation=True)
     sys.stdout.write(ring.validation.render(ring.name))
@@ -63,11 +76,7 @@ def _cmd_ideals(args):
 
 def _cmd_radical(args):
     ring = _load(args.file, args.no_validate)
-    members = _members(ring, args.ideal)
-    bad = hyperideal_violations(ring, members)
-    if bad:
-        print(f"warning: {ring.subset_label(members)} is not a hyperideal "
-              f"({bad[0]})")
+    members = _ideal(ring, args.ideal).members
     by_primes = radical_by_primes(ring, members)
     by_powers = radical_by_powers(ring, members)
     print("ideal: " + ",".join(ring.labels[i] for i in sorted(members)))
@@ -80,17 +89,12 @@ def _cmd_radical(args):
 
 def _cmd_classify(args):
     ring = _load(args.file, args.no_validate)
-    members = _members(ring, args.ideal)
-    bad = hyperideal_violations(ring, members)
-    if bad:
-        print(f"warning: {ring.subset_label(members)} is not a hyperideal "
-              f"({bad[0]})")
-    ideal = make_hyperideal(ring, members, strict=False)
+    ideal = _ideal(ring, args.ideal)
     try:
         record = classify(ideal, k_max=args.kmax)
     except ImproperIdealError as e:
         raise _CliError(f"improper ideal: {e}", 2)
-    print("ideal: " + ",".join(ring.labels[i] for i in sorted(members)))
+    print("ideal: " + ",".join(ring.labels[i] for i in sorted(ideal.members)))
     print(f"is_hyperideal={'true' if ideal.valid else 'false'}")
     for line in record.render_lines():
         print(line)
@@ -112,13 +116,9 @@ def _cmd_product(args):
 
 def _cmd_quotient(args):
     ring = _load(args.file, args.no_validate)
-    members = _members(ring, args.ideal)
-    bad = hyperideal_violations(ring, members)
-    if bad:
-        raise _CliError(f"{ring.subset_label(members)} is not a hyperideal "
-                        f"({bad[0]})", 1)
+    ideal = _ideal(ring, args.ideal, fatal=True)
     try:
-        table, _ = quotient(ring, make_hyperideal(ring, members))
+        table, _ = quotient(ring, ideal)
     except ValueError as e:
         raise _CliError(str(e), 1)
     with open(args.output, "w", encoding="utf-8") as fh:

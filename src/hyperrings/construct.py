@@ -83,9 +83,7 @@ def direct_product(r1, r2):
     ring = HyperringTable(
         name=f"{r1.name}x{r2.name}", m=m, n=n, labels=labels,
         zero=pair[r1.zero][r2.zero], one=pair[r1.one][r2.one],
-        f=combine(m, r1.f, r2.f, sums), g=combine(n, r1.g, r2.g, pair),
-        commutative_f=r1.commutative_f and r2.commutative_f,
-        commutative_g=r1.commutative_g and r2.commutative_g)
+        f=combine(m, r1.f, r2.f, sums), g=combine(n, r1.g, r2.g, pair))
     # every axiom holds componentwise on non-empty factors, and every
     # hyperideal is an I1 x I2, derived on first read (FINDINGS.md)
     if r1.validation.passed and r2.validation.passed:
@@ -168,8 +166,7 @@ def _quotient(ring, q_members):
     out = HyperringTable(
         name=f"{ring.name}/{ring.subset_label(q_members)}", m=m, n=n,
         labels=labels, zero=proj[ring.zero], one=proj[ring.one],
-        f=induced["f"], g=induced["g"],
-        commutative_f=ring.commutative_f, commutative_g=ring.commutative_g)
+        f=induced["f"], g=induced["g"])
     # f and g commute with proj, so every axiom passes to the image, Q is a
     # hyperideal, and every hyperideal is a p[I], I ⊇ Q, derived on first
     # read (FINDINGS.md)
@@ -280,6 +277,5 @@ def subhyperring_table(ring, members):
     out = HyperringTable(
         name=f"{ring.name}|{ring.subset_label(members)}", m=ring.m, n=ring.n,
         labels=[ring.labels[x] for x in order],
-        zero=new_index[ring.zero], one=new_index[e], f=f, g=g,
-        commutative_f=ring.commutative_f, commutative_g=ring.commutative_g)
+        zero=new_index[ring.zero], one=new_index[e], f=f, g=g)
     return out

@@ -117,7 +117,8 @@ class HyperringTable:
     f maps every ordered m-tuple of element indices to a frozenset of
     indices; g maps every ordered n-tuple to a single index.  Tables are
     total.  Instances are treated as immutable after construction and are
-    hashed by identity.  `validation` is the `validate_krasner` report,
+    hashed by identity; commutativity, like every axiom, is read off f and
+    g by validation.  `validation` is the `validate_krasner` report,
     computed on first read; `direct_product` and `quotient` set it instead
     on a product or quotient of passing tables.  `memo` holds the data
     derived from the table, each datum kept there by `memoised`, a
@@ -125,8 +126,7 @@ class HyperringTable:
     released with the table.
     """
 
-    def __init__(self, name, m, n, labels, zero, one, f, g,
-                 commutative_f=True, commutative_g=True):
+    def __init__(self, name, m, n, labels, zero, one, f, g):
         if m < 2 or n < 2:
             raise ValueError("arities m and n must be at least 2")
         self.name = name
@@ -145,8 +145,6 @@ class HyperringTable:
             if type(value) is not frozenset:
                 self.f[t] = frozenset(value)
         self.g = dict(g)
-        self.commutative_f = commutative_f
-        self.commutative_g = commutative_g
         self.validation_waived = False
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self.memo = {}

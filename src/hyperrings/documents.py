@@ -5,9 +5,10 @@ name, m, n, elements, zero, one, commutative_f, commutative_g, f, g and
 an optional notes array.  Operation tables are keyed by comma-joined
 element labels (labels therefore must not contain commas); when a
 commutative flag is set only non-decreasing tuples, in element-list
-order, need appear and the loader expands the symmetric closure.
-Serialization is canonical: fixed field order, tuples emitted in
-lexicographic element order, symmetric compression applied, two-space
+order, need appear and the loader expands the symmetric closure; a
+table keeps no flag.  Serialization is canonical: fixed field order,
+tuples emitted in lexicographic element order, each flag set exactly when
+its table is symmetric and the keys then compressed, two-space
 indentation, trailing newline.  parse o serialize is the identity on
 canonical documents.
 """
@@ -88,8 +89,7 @@ def parse_document(text, validate=True):
 
     zero = look(doc["zero"], "zero")
     one = look(doc["one"], "one")
-    comm_f = doc["commutative_f"]
-    comm_g = doc["commutative_g"]
+    comm_f, comm_g = doc["commutative_f"], doc["commutative_g"]
     if not isinstance(comm_f, bool) or not isinstance(comm_g, bool):
         raise DocumentError("commutative flags must be booleans")
 
@@ -114,19 +114,15 @@ def parse_document(text, validate=True):
                 if not isinstance(value, str):
                     raise DocumentError(f"g value for {key!r} must be a label")
                 out = look(value, f"g value for {key!r}")
-            if comm:
-                for perm in set(itertools.permutations(t)):
-                    table[perm] = out
-            else:
-                table[t] = out
+            for perm in set(itertools.permutations(t)) if comm else (t,):
+                table[perm] = out
         return table
 
     f = parse_table(doc["f"], m, comm_f, "f")
     g = parse_table(doc["g"], n, comm_g, "g")
     try:
         ring = HyperringTable(name=name, m=m, n=n, labels=elements, zero=zero,
-                              one=one, f=f, g=g, commutative_f=comm_f,
-                              commutative_g=comm_g)
+                              one=one, f=f, g=g)
     except ValueError as e:    # a table that is not total
         raise DocumentError(str(e)) from None
     notes = doc.get("notes")
@@ -139,20 +135,35 @@ def parse_document(text, validate=True):
     return ring
 
 
-def serialize_document(ring):
-    """Canonical text form; deterministic byte-for-byte."""
-    def table_keys(arity, comm):
-        keys = itertools.product(range(ring.size), repeat=arity)
-        if comm:
-            keys = (t for t in keys if tuple(sorted(t)) == t)
-        return keys
+def _symmetric(values, size):
+    """Whether a table, its values in product order, is invariant under
+    the rotation of its arguments and the swap of the last two, which
+    generate every permutation: with first entry x as with last entry x,
+    and in each size x size block, row a as column a."""
+    block, square = len(values) // size, size * size
+    return (all(values[x * block:(x + 1) * block] == values[x::size]
+                for x in range(size))
+            and all(values[b + a * size:b + a * size + size]
+                    == values[b + a:b + square:size]
+                    for b in range(0, len(values), square)
+                    for a in range(size)))
 
-    f_obj = {}
-    for t in table_keys(ring.m, ring.commutative_f):
-        f_obj[ring.tuple_label(t)] = [ring.labels[i] for i in sorted(ring.f[t])]
-    g_obj = {}
-    for t in table_keys(ring.n, ring.commutative_g):
-        g_obj[ring.tuple_label(t)] = ring.labels[ring.g[t]]
+
+def serialize_document(ring):
+    """Canonical text form; deterministic byte-for-byte.  Each flag says
+    whether its table is symmetric, and only then are its keys compressed."""
+    def layout(table, arity):
+        keys = list(itertools.product(range(ring.size), repeat=arity))
+        if _symmetric(list(map(table.__getitem__, keys)), ring.size):
+            return True, itertools.combinations_with_replacement(
+                range(ring.size), arity)
+        return False, keys
+
+    comm_f, f_keys = layout(ring.f, ring.m)
+    comm_g, g_keys = layout(ring.g, ring.n)
+    f_obj = {ring.tuple_label(t): [ring.labels[i] for i in sorted(ring.f[t])]
+             for t in f_keys}
+    g_obj = {ring.tuple_label(t): ring.labels[ring.g[t]] for t in g_keys}
 
     doc = {
         "name": ring.name,
@@ -161,8 +172,8 @@ def serialize_document(ring):
         "elements": list(ring.labels),
         "zero": ring.labels[ring.zero],
         "one": ring.labels[ring.one],
-        "commutative_f": ring.commutative_f,
-        "commutative_g": ring.commutative_g,
+        "commutative_f": comm_f,
+        "commutative_g": comm_g,
         "f": f_obj,
         "g": g_obj,
     }

@@ -66,6 +66,12 @@ def fold(ring, m, n):
 
 
 @pytest.fixture(scope="session")
+def T(G):
+    """G with g(2,0) = 3: g is not commutative, so T fails validation."""
+    return mutate(G, "T", g_overrides={(G.index("2"), G.zero): G.index("3")})
+
+
+@pytest.fixture(scope="session")
 def G33(G):
     return fold(G, 3, 3)
 
@@ -105,8 +111,7 @@ def mutate(ring, name, f_overrides=None, g_overrides=None):
     for key, value in (g_overrides or {}).items():
         g[key] = value
     return HyperringTable(name, ring.m, ring.n, ring.labels, ring.zero,
-                          ring.one, f, g, ring.commutative_f,
-                          ring.commutative_g)
+                          ring.one, f, g)
 
 
 def brute_force_hyperideals(ring):

@@ -11,7 +11,7 @@ from hyperrings.classify import (InternalInconsistencyError, classify,
                                  is_primary, is_q_primary, is_sq_primary,
                                  is_weakly_primary, is_weakly_prime,
                                  is_wsq_primary)
-from hyperrings.core import HyperringTable, g_product
+from hyperrings.core import g_product
 from hyperrings.corpus import document_text
 from hyperrings.documents import parse_document
 from hyperrings.ideals import (ImproperIdealError, ideal_from_labels,
@@ -137,25 +137,20 @@ def brute_n_tuple(ring, name, members, rad):
     return None
 
 
-def absorbing_tuples(ring, members, k, ordered=True):
+def absorbing_tuples(ring, members, k):
     """The (kn-k+1)-tuples over R \\ members, in product order.  A tuple
     with an entry in a hyperideal passes every absorbing condition, since
-    an index subset through that entry has its product in the hyperideal.
-    Unless ordered, only non-decreasing tuples are tried, as classify does
-    when g is declared commutative."""
+    an index subset through that entry has its product in the hyperideal."""
     outside = [x for x in ring.carrier if x not in members]
-    length = k * (ring.n - 1) + 1
-    if ordered:
-        return itertools.product(outside, repeat=length)
-    return itertools.combinations_with_replacement(outside, length)
+    return itertools.product(outside, repeat=k * (ring.n - 1) + 1)
 
 
-def brute_kn_absorbing(ring, members, target, k, ordered=True):
+def brute_kn_absorbing(ring, members, target, k):
     """A (kn-k+1)-tuple fails when its g-product lies in the set and no
     (k-1)n-k+2 index subset has its product in target."""
     length = k * (ring.n - 1) + 1
     small = (k - 1) * (ring.n - 1) + 1
-    for t in absorbing_tuples(ring, members, k, ordered):
+    for t in absorbing_tuples(ring, members, k):
         if g_product(ring, t) not in members:
             continue
         if not any(g_product(ring, [t[i] for i in s]) in target
@@ -262,9 +257,8 @@ class TestAbsorbingQPrimary:
             is_kn_absorbing_q_primary(p, 2)
         with pytest.raises(InternalInconsistencyError, match="disagree"):
             classify(p, 3)
-        report = run_theorem("Thm 2.8", [G])
-        assert report.status == "fail"
-        assert any("{0,4}" in f for f in report.failures)
+        with pytest.raises(InternalInconsistencyError, match="disagree"):
+            run_theorem("Thm 2.8", [G])
 
 
 def brute_kn_absorbing_primary(ring, members, rad, k):
@@ -319,35 +313,48 @@ ORACLE_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                            database=None)
 
 
-def assert_witnesses_match(ring, ordered=True):
-    """Every tuple predicate's outcome and witness on every proper
-    hyperideal equal the brute oracle's."""
+def assert_witnesses_match(ring, sets=None):
+    """Every predicate's outcome and witness on every member set (by
+    default, every proper hyperideal's) equal the brute oracle's."""
     evaluate = classify_module._EVALUATORS
-    for p in proper_hyperideals(ring):
-        members, rad = p.members, radical_by_primes(ring, p)
+    if sets is None:
+        sets = [p.members for p in proper_hyperideals(ring)]
+    for members in sets:
+        rad = radical_by_primes(ring, members)
         expected = [(name, None, brute_n_tuple(ring, name, members, rad))
                     for name in ("prime", "weakly_prime", "primary",
                                  "weakly_primary", "sq_primary", "wsq_primary")]
         for k in (1, 2, 3):
             expected += [
                 ("absorbing", k,
-                 brute_kn_absorbing(ring, members, members, k, ordered)),
+                 brute_kn_absorbing(ring, members, members, k)),
                 ("absorbing_primary", k,
                  brute_kn_absorbing_primary(ring, members, rad, k)),
                 ("absorbing_q_primary_tuples", k,
-                 brute_kn_absorbing(ring, members, rad, k, ordered)),
+                 brute_kn_absorbing(ring, members, rad, k)),
             ]
+        # the two predicates of the radical: prime, and (k,n)-absorbing
+        of_radical = [("q_primary", None)] + [("absorbing_q_primary", k)
+                                              for k in (1, 2, 3)]
+        if len(rad) == ring.size:
+            for name, k in of_radical:
+                assert evaluate[name](ring, members, k) == (
+                    False, "radical is improper"), (ring.name, name, k)
+        else:
+            expected += [(name, k, brute_n_tuple(ring, "prime", rad, rad)
+                          if k is None else brute_kn_absorbing(ring, rad, rad, k))
+                         for name, k in of_radical]
         for name, k, t in expected:
             assert evaluate[name](ring, members, k) == (t is None, t), (
-                ring.name, p.render(), name, k)
+                ring.name, ring.subset_label(members), name, k)
 
 
 class TestWitnessOracles:
     """The row scans against the definitions, witnesses included, at k = 1,
-    2 and 3.  On a valid commutative table the oracles scan ordered tuples,
-    so the sorted scan's witness is certified to be the lexicographically
-    first one.  A corrupted table keeps g declared commutative, so there
-    the absorbing scans stay on sorted tuples and the oracles follow."""
+    2 and 3.  The oracles scan every ordered tuple.  On a table that passes
+    validation the absorbing scan walks sorted tuples only, so there its
+    witness is certified to be the lexicographically first one; on any
+    other table, a corrupted one included, it must walk them all."""
 
     def test_builtin(self, G, H, G_mod_06):
         for ring in (G, H, G_mod_06):
@@ -357,10 +364,14 @@ class TestWitnessOracles:
     def test_folds(self, folds, which):
         assert_witnesses_match(folds[which])
 
-    def test_ordered_path(self, G):
-        ring = HyperringTable("G-ordered", G.m, G.n, G.labels, G.zero, G.one,
-                              G.f, G.g, commutative_g=False)
-        assert_witnesses_match(ring)
+    def test_ordered_path(self, T):
+        # T fails validation, so its scans must walk every ordered tuple;
+        # a sorted walk misses (2,0) on {3} at k = 1, among others
+        assert not T.validation.passed
+        assert_witnesses_match(T, [frozenset(s) for r in range(T.size)
+                                   for s in itertools.combinations(T.carrier, r)])
+        assert not is_kn_absorbing(
+            make_hyperideal(T, {T.index("3")}, strict=False), 1)
 
     def test_fold_where_1_is_not_neutral(self, folds):
         # g(2,2,1) = 3 on the (2,3) fold, where 2.2 = 4 in G, so a fold that
@@ -369,17 +380,17 @@ class TestWitnessOracles:
         two, one = ring.index("2"), ring.one
         ring = mutate(ring, "G^(2,3)-corrupt",
                       g_overrides={(two, two, one): ring.index("3")})
-        assert_witnesses_match(ring, ordered=False)
+        assert_witnesses_match(ring)
 
     @ORACLE_SETTINGS
     @given(data=st.data())
     def test_corrupted_g(self, G, data):
-        assert_witnesses_match(data.draw(corruptions(G)), ordered=False)
+        assert_witnesses_match(data.draw(corruptions(G)))
 
     @ORACLE_SETTINGS
     @given(data=st.data())
     def test_corrupted_h(self, H, data):
-        assert_witnesses_match(data.draw(corruptions(H)), ordered=False)
+        assert_witnesses_match(data.draw(corruptions(H)))
 
 
 class TestSqPrimary:

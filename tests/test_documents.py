@@ -9,6 +9,8 @@ from hyperrings.documents import (DocumentError, DocumentValidationError,
                                   parse_document, serialize_document)
 from hyperrings.ideals import ideal_from_labels
 
+from conftest import mutate
+
 
 class TestParse:
     def test_shipped_g(self):
@@ -89,6 +91,30 @@ class TestRoundTrip:
         assert back.validation.passed
         assert back.size == 36
         assert serialize_document(back) == text
+
+    def test_non_commutative_g_is_written_dense(self, T):
+        # g(2,0) = 3 while g(0,2) = 0: compressed keys would drop one
+        text = serialize_document(T)
+        doc = json.loads(text)
+        assert doc["commutative_f"] is True
+        assert doc["commutative_g"] is False
+        assert len(doc["g"]) == T.size ** 2
+        back = parse_document(text, validate=False)
+        assert back.g[(T.index("2"), T.zero)] == T.index("3")
+        assert back.g == T.g
+        assert serialize_document(back) == text
+
+    @pytest.mark.parametrize("orbit", [
+        [(1, 2, 3), (2, 3, 1), (3, 1, 2)],    # invariant under rotation only
+        [(1, 2, 3), (1, 3, 2)],               # under the last swap only
+    ])
+    def test_partly_symmetric_g_is_written_dense(self, folds, orbit):
+        ring = folds[1]    # the (2,3) fold of G
+        ring = mutate(ring, "G^(2,3)-skew",
+                      g_overrides=dict.fromkeys(orbit, ring.index("3")))
+        doc = json.loads(serialize_document(ring))
+        assert doc["commutative_g"] is False
+        assert parse_document(serialize_document(ring), validate=False).g == ring.g
 
     def test_serialize_quotient_reparses(self, G):
         table, _ = quotient(G, ideal_from_labels(G, "0,6"))
