@@ -42,8 +42,6 @@ def _primary_eval(ring, members, rad):
     g, one, outside = ring.g, ring.one, mask_of(complement(ring, members))
     for prefix in itertools.product(ring.carrier, repeat=ring.n - 1):
         hit = rows[prefix]
-        if not hit:
-            continue
         bad = outside if g[prefix + (one,)] not in rad else 0
         for i, x in enumerate(prefix):
             if x not in members:

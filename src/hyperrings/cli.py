@@ -61,6 +61,12 @@ def _ideal(ring, spec, fatal=False):
     return ideal
 
 
+def _kmax(args):
+    if args.kmax < 1:
+        raise _CliError(f"--kmax must be at least 1, got {args.kmax}", 2)
+    return args.kmax
+
+
 def _cmd_validate(args):
     ring = _load(args.file, skip_validation=True)
     sys.stdout.write(ring.validation.render(ring.name))
@@ -88,10 +94,11 @@ def _cmd_radical(args):
 
 
 def _cmd_classify(args):
+    k_max = _kmax(args)
     ring = _load(args.file, args.no_validate)
     ideal = _ideal(ring, args.ideal)
     try:
-        record = classify(ideal, k_max=args.kmax)
+        record = classify(ideal, k_max=k_max)
     except ImproperIdealError as e:
         raise _CliError(f"improper ideal: {e}", 2)
     print("ideal: " + ",".join(ring.labels[i] for i in sorted(ideal.members)))
@@ -128,15 +135,14 @@ def _cmd_quotient(args):
 
 
 def _cmd_theorems(args):
-    if args.kmax < 1:
-        raise _CliError(f"--kmax must be at least 1, got {args.kmax}", 2)
+    k_max = _kmax(args)
     # run_all refuses a failing structure itself
     if args.files:
         structures = [_load(p, skip_validation=True) for p in args.files]
     else:
         structures = builtin_corpus()
     try:
-        reports = run_all(structures, k=args.kmax)
+        reports = run_all(structures, k=k_max)
     except StructureRejectedError as e:
         raise _CliError(str(e), 1)
     for report in reports:

@@ -129,8 +129,6 @@ def _quotient(ring, q_members):
                 f"classes of {ring.name}/{ring.subset_label(q_members)} "
                 f"overlap at {ring.subset_label(covered & c)}")
         covered |= c
-    if covered != set(ring.carrier):
-        raise IllDefinedQuotientError("classes do not cover the carrier")
     for r in ring.carrier:
         if r not in cls_of[r]:
             raise IllDefinedQuotientError(

@@ -7,15 +7,19 @@ for g, and a scalar identity for g.  Everything here works on explicit
 tables.  A table's `validation` is its `validate_krasner` report,
 computed when it is first read.
 
-For the costly axioms (associativity, reversibility, distributivity) a
-validation call first lays both tables out flat, in `itertools.product`
-order: `F` holds each f-value as an int bitmask of its members, `G` each
-g-value as an int.  The last argument then varies fastest, so the values
-over it form a contiguous row, and the scans compare whole rows (lists of
-masks or elements) instead of single entries.  A row that differs is
-expanded entry by entry only to report its violations, which come out in
-the same order and with the same text as an entry-by-entry scan.  The
-flat tables and the per-call memos live only for one validation call.
+A validation call first lays both tables out flat, in `itertools.product`
+order, as int bitmasks of their values' members: `F` for f, and for g the
+singleton masks `1 << v`, since an operation is a hyperoperation whose
+values are singletons.  So associativity, the scalar neutral element and
+the left fold are each one routine, run on both tables (distributivity
+also reads g's values as elements).  The last argument varies fastest, so
+the values over it form a contiguous row, and the scans compare whole rows
+instead of single entries.  Symmetry is one slice test, `_symmetric`, which
+the serializer shares; the element-wise commutativity walk runs only on a
+table it finds asymmetric.  A row that differs is expanded entry by entry
+only to report its violations, which come out in the same order and with
+the same text as an entry-by-entry scan.  The flat tables and the per-call
+memos live only for one validation call.
 
 That scan, `validate_krasner_scan`, is the only source of violations.  At
 m > 2 or n > 2, `validate_krasner` first checks on the flat tables that f
@@ -292,6 +296,11 @@ def _g_values(ring):
                     itertools.product(range(ring.size), repeat=ring.n)))
 
 
+def _singletons(values):
+    """Elements as singleton bitmasks: g's values read as f's are."""
+    return [1 << v for v in values]
+
+
 def _rows(table, size):
     """A flat table cut into rows over its last argument."""
     return [table[k:k + size] for k in range(0, len(table), size)]
@@ -333,6 +342,20 @@ def _check_f_entries(ring, out):
     return ok
 
 
+def _symmetric(values, size):
+    """Whether a table, its values in product order, is invariant under
+    the rotation of its arguments and the swap of the last two, which
+    generate every permutation: with first entry x as with last entry x,
+    and in each size x size block, row a as column a."""
+    block, square = len(values) // size, size * size
+    return (all(values[x * block:(x + 1) * block] == values[x::size]
+                for x in range(size))
+            and all(values[b + a * size:b + a * size + size]
+                    == values[b + a:b + square:size]
+                    for b in range(0, len(values), square)
+                    for a in range(size)))
+
+
 def _check_commutative(ring, table, arity, axiom, render, out):
     for t in itertools.product(range(ring.size), repeat=arity):
         st = tuple(sorted(t))
@@ -342,47 +365,54 @@ def _check_commutative(ring, table, arity, axiom, render, out):
                 render(table[st]), render(table[t])))
 
 
-def _check_f_associativity(ring, F, out):
+def _check_associativity(ring, T, arity, axiom, render, out):
     # Every nesting position is compared against the leftmost one over all
-    # (2m-1)-tuples, one row over the last argument per (2m-2)-prefix.  For
-    # a cut before the last the inner f-value is fixed by the prefix, so the
-    # row is the union of the F-rows its members select.  At the last cut
-    # the inner value runs along the row, and each of its masks is extended
-    # through the prefix's first m-1 arguments by a table that only lives
-    # for that prefix block.
+    # (2k-1)-tuples of a k-ary mask table T with no empty value, one row
+    # over the last argument per (2k-2)-prefix.  For a cut before the last
+    # the inner value is fixed by the prefix, so the row is the union of
+    # the T-rows its members select.  At the last cut the inner value runs
+    # along the row, and each of its masks is extended through the prefix's
+    # first k-1 arguments by a table that only lives for that prefix block:
+    # a singleton reads the head row, a larger mask unions its members'.
     s = ring.size
-    rows = _rows(F, s)
-    members = {mask: _members(mask) for mask in set(F)}
-    cuts = _cuts(s, ring.m)
+    rows = _rows(T, s)
+    bits = _singletons(range(s))
+    members = {mask: _members(mask) for mask in set(T)}
+    unions = {mask: ms for mask, ms in members.items() if len(ms) > 1}
+    cuts = _cuts(s, arity)
     width = len(rows)
     for head, head_row in enumerate(rows):
-        extend = {mask: reduce(or_, map(head_row.__getitem__, ms), 0)
-                  for mask, ms in members.items()}
+        extend = dict(zip(bits, head_row))
+        for mask, ms in unions.items():
+            extend[mask] = reduce(or_, map(head_row.__getitem__, ms))
         for tail, tail_row in enumerate(rows):
             prefix = head * width + tail
             nested = []
             for stride, window, high in cuts:
                 base = prefix // high * s * stride + prefix % stride
-                first, *rest = members[F[prefix // stride % window]]
+                first, *rest = members[T[prefix // stride % window]]
                 row = rows[base + first * stride]
                 for t in rest:
                     row = list(map(or_, row, rows[base + t * stride]))
                 nested.append(row)
             nested.append(list(map(extend.__getitem__, tail_row)))
             if nested.count(nested[0]) != len(nested):
-                _report_rows(ring, "f-associativity", prefix, ring.m, nested,
-                             lambda mask: _mask_label(ring, mask), out)
+                _report_rows(ring, axiom, prefix, arity, nested, render, out)
 
 
-def _check_zero_neutral(ring, out):
-    z = ring.zero
-    for x in range(ring.size):
-        for i in range(ring.m):
-            t = (z,) * i + (x,) + (z,) * (ring.m - 1 - i)
-            if ring.f[t] != frozenset({x}):
-                out.append(Violation(
-                    "zero-scalar-neutral", f"f({ring.tuple_label(t)})",
-                    "{" + ring.label(x) + "}", ring.subset_label(ring.f[t])))
+def _check_neutral(ring, T, arity, e, op, axiom, render, out):
+    # e is scalar neutral when every e^(i), x, e^(k-1-i) takes the value
+    # {x}; that tuple sits at the all-e index plus (x - e) strides of i
+    s = ring.size
+    strides = [s ** (arity - 1 - i) for i in range(arity)]
+    at_e = e * sum(strides)
+    for x in range(s):
+        for i, stride in enumerate(strides):
+            value = T[at_e + (x - e) * stride]
+            if value != 1 << x:
+                t = (e,) * i + (x,) + (e,) * (arity - 1 - i)
+                out.append(Violation(axiom, f"{op}({ring.tuple_label(t)})",
+                                     render(1 << x), render(value)))
 
 
 def _check_inverses(ring, out):
@@ -447,34 +477,16 @@ def validate_canonical_hypergroup(ring):
 
 def _check_canonical_hypergroup(ring, F, out):
     entries_ok = _check_f_entries(ring, out)
-    _check_commutative(ring, ring.f, ring.m, "f-commutativity", ring.subset_label, out)
+    if not _symmetric(F, ring.size):
+        _check_commutative(ring, ring.f, ring.m, "f-commutativity",
+                           ring.subset_label, out)
+    render = lambda mask: _mask_label(ring, mask)
     if entries_ok:
-        _check_f_associativity(ring, F, out)
-    _check_zero_neutral(ring, out)
+        _check_associativity(ring, F, ring.m, "f-associativity", render, out)
+    _check_neutral(ring, F, ring.m, ring.zero, "f", "zero-scalar-neutral", render, out)
     inverses_ok = _check_inverses(ring, out)
     if entries_ok and inverses_ok:
         _check_reversibility(ring, F, out)
-
-
-def _check_g_associativity(ring, G, out):
-    # as for f, one row over the last argument per (2n-2)-prefix: before
-    # the last cut the row is a row of G, at the last cut it is the
-    # prefix's head row looked up along a row of G
-    s = ring.size
-    rows = _rows(G, s)
-    cuts = _cuts(s, ring.n)
-    width = len(rows)
-    for head, head_row in enumerate(rows):
-        for tail, tail_row in enumerate(rows):
-            prefix = head * width + tail
-            nested = [rows[prefix // high * s * stride
-                           + G[prefix // stride % window] * stride
-                           + prefix % stride]
-                      for stride, window, high in cuts]
-            nested.append(list(map(head_row.__getitem__, tail_row)))
-            if nested.count(nested[0]) != len(nested):
-                _report_rows(ring, "g-associativity", prefix, ring.n, nested,
-                             ring.label, out)
 
 
 def _distributivity_failures(phi, rows, members, m, s):
@@ -535,30 +547,19 @@ def _check_zero_absorbing(ring, out):
                     ring.label(z), ring.label(ring.g[t])))
 
 
-def _check_scalar_identity(ring, out):
-    n = ring.n
-    e = ring.one
-    for x in range(ring.size):
-        for i in range(n):
-            t = (e,) * i + (x,) + (e,) * (n - 1 - i)
-            if ring.g[t] != x:
-                out.append(Violation(
-                    "scalar-identity", f"g({ring.tuple_label(t)})",
-                    ring.label(x), ring.label(ring.g[t])))
-
-
-def _left_fold(rows, arity, masks):
-    """Flat table of the arity-fold of a binary operation given by its rows
-    over the second argument, built prefix by prefix.  With masks the
-    values are f-bitmasks, and a set's row is the union of its members'."""
+def _left_fold(rows, arity):
+    """Flat mask table of the arity-fold of a binary hyperoperation given
+    by its mask rows over the second argument, built prefix by prefix.  A
+    singleton's row is read off; any other mask's row is the union of its
+    members' rows, all zero for the empty mask of a broken table."""
     s = len(rows)
-    fold = [1 << x for x in range(s)] if masks else list(range(s))
+    bits = _singletons(range(s))
+    fold = bits
     for _ in range(arity - 1):
-        ext = rows
-        if masks:
-            ext = {v: reduce(lambda a, b: list(map(or_, a, b)),
-                             map(rows.__getitem__, _members(v)), [0] * s)
-                   for v in set(fold)}
+        ext = dict(zip(bits, rows))
+        for v in set(fold).difference(ext):
+            ext[v] = reduce(lambda a, b: list(map(or_, a, b)),
+                            map(rows.__getitem__, _members(v)), [0] * s)
         fold = [v for x in fold for v in ext[x]]
     return fold
 
@@ -572,9 +573,10 @@ def _is_fold_of_valid_reduct(ring):
     reduct = HyperringTable(ring.name, 2, 2, ring.labels, ring.zero, ring.one,
                             {p: ring.f[p + fpad] for p in pairs},
                             {p: ring.g[p + gpad] for p in pairs})
-    plus, times = (_rows(t, ring.size) for t in (_f_masks(reduct), _g_values(reduct)))
-    return (_left_fold(plus, ring.m, True) == _f_masks(ring)
-            and _left_fold(times, ring.n, False) == _g_values(ring)
+    plus, times = (_rows(t, ring.size) for t in
+                   (_f_masks(reduct), _singletons(_g_values(reduct))))
+    return (_left_fold(plus, ring.m) == _f_masks(ring)
+            and _left_fold(times, ring.n) == _singletons(_g_values(ring))
             and validate_krasner(reduct).passed)
 
 
@@ -590,11 +592,14 @@ def validate_krasner(ring):
 def validate_krasner_scan(ring):
     """validate_krasner by scanning every axiom over every tuple."""
     F, G = _f_masks(ring), _g_values(ring)
+    masks = _singletons(G)
+    render = lambda mask: ring.label(mask.bit_length() - 1)
     out = []
     _check_canonical_hypergroup(ring, F, out)
-    _check_commutative(ring, ring.g, ring.n, "g-commutativity", ring.label, out)
-    _check_g_associativity(ring, G, out)
+    if not _symmetric(G, ring.size):
+        _check_commutative(ring, ring.g, ring.n, "g-commutativity", ring.label, out)
+    _check_associativity(ring, masks, ring.n, "g-associativity", render, out)
     _check_distributivity(ring, F, G, out)
     _check_zero_absorbing(ring, out)
-    _check_scalar_identity(ring, out)
+    _check_neutral(ring, masks, ring.n, ring.one, "g", "scalar-identity", render, out)
     return ValidationReport(not out, out)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .core import HyperringTable
+from .core import HyperringTable, _symmetric
 
 
 class DocumentError(ValueError):
@@ -133,20 +133,6 @@ def parse_document(text, validate=True):
     if validate and not ring.validation.passed:
         raise DocumentValidationError(ring.validation, name)
     return ring
-
-
-def _symmetric(values, size):
-    """Whether a table, its values in product order, is invariant under
-    the rotation of its arguments and the swap of the last two, which
-    generate every permutation: with first entry x as with last entry x,
-    and in each size x size block, row a as column a."""
-    block, square = len(values) // size, size * size
-    return (all(values[x * block:(x + 1) * block] == values[x::size]
-                for x in range(size))
-            and all(values[b + a * size:b + a * size + size]
-                    == values[b + a:b + square:size]
-                    for b in range(0, len(values), square)
-                    for a in range(size)))
 
 
 def serialize_document(ring):

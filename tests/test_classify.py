@@ -19,7 +19,7 @@ from hyperrings.ideals import (ImproperIdealError, ideal_from_labels,
                                radical_by_primes)
 from hyperrings.theorems import run_theorem
 
-from conftest import mutate
+from conftest import load_gen, mutate
 from strategies import corruptions
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -502,6 +502,31 @@ class TestImplicationScope:
         for ring in folds:
             for p in proper_hyperideals(ring):
                 assert classify(p, 3).ideal == p
+
+    def test_omega_of_d_decides_sq_and_q(self):
+        # On the (m,n)-folds of Z_k/U(k), the image of dZ_k is sq-primary
+        # exactly when d has at most n-1 distinct primes, and q-primary
+        # exactly when it has one (ROADMAP 1(a)).  Z_30 at n = 3, whose
+        # zero ideal has three primes, is the control that is not.  Z_k/U(k)
+        # has one element per divisor of k, at most 8 here, so n = 4 is cheap.
+        gen = load_gen()
+        checked, not_sq = 0, set()
+        for k in range(2, 31):
+            q = gen.Quotient(k, frozenset(gen.units(k)))
+            assert q.size <= 8
+            for m, n in itertools.product((2, 3), (2, 3, 4)):
+                item = gen.quotient_item(q, m, n)
+                ring = parse_document(item.text)
+                for labels, d in item.ideals.items():
+                    omega = len(gen.prime_factors(d))
+                    ideal = make_hyperideal(ring, {ring.index(x) for x in labels})
+                    assert is_sq_primary(ideal) == (omega <= n - 1), (ring.name, d)
+                    assert is_q_primary(ideal) == (omega == 1), (ring.name, d)
+                    checked += 1
+                    if omega > n - 1:
+                        not_sq.add((k, n, d))
+        assert checked == 486
+        assert (30, 3, 30) in not_sq
 
     def test_sq_implies_q_still_checked_at_n2(self, monkeypatch):
         monkeypatch.setitem(classify_module._EVALUATORS, "q_primary",

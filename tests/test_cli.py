@@ -102,6 +102,18 @@ class TestClassify:
         assert code == 0
         assert "absorbing_q_primary_k3=true" in out
 
+    @pytest.mark.parametrize("kmax", ["0", "-1"])
+    def test_kmax_below_one_is_a_usage_error(self, docs, kmax, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify ran")
+
+        monkeypatch.setattr(cli, "classify", refuse)
+        code, out, err = run(capsys, "classify", str(docs / "g.json"),
+                             "--ideal", "0,4", "--kmax", kmax)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --kmax must be at least 1, got {kmax}\n"
+
     def test_h_t02(self, docs, capsys):
         code, out, _ = run(capsys, "classify", str(docs / "h.json"),
                            "--ideal", "0,2", "--no-validate")
