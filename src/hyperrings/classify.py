@@ -11,8 +11,9 @@ fastest, the witness is the first failing prefix with its least c left.
 Every predicate is an entry of `_EVALUATORS`, read through the memoised
 `_outcome`.  That table names the predicates and orders a classification
 record (`_record_entries`); `_outcome` checks, on a memo miss only, that
-the ideal is proper (else ImproperIdealError) and that k is positive.  A
-call that raises stores nothing, so a memo hit is always a checked call.
+the ideal is proper (else ImproperIdealError) and that k is positive;
+`classify` checks its k_max the same way.  A call that raises stores
+nothing, so a memo hit is always a checked call.
 """
 from __future__ import annotations
 
@@ -309,13 +310,16 @@ def classify(ideal, k_max=2):
     Every implication of `_IMPLICATIONS` whose arity scope covers the ring
     and whose two predicates were evaluated is asserted for genuine
     hyperideals of valid structures; a violation raises
-    InternalInconsistencyError.  The record is memoised in the ring's memo.
+    InternalInconsistencyError.  A k_max below 1 raises ValueError.  The
+    record is memoised in the ring's memo.
     """
     return _classify(ideal.ring, ideal.members, ideal.valid, k_max)
 
 
 @memoised("classify")
 def _classify(ring, members, valid, k_max):
+    if k_max < 1:
+        raise ValueError("k must be positive")
     ideal = Hyperideal(ring, members, valid)
     outcomes = {}
     witnesses = {}

@@ -1,7 +1,9 @@
 """Constructions: direct products, quotients, homomorphisms and transfers.
 
 Quotient classes are keyed by their full member sets rather than by
-representatives, so well-definedness of the induced operations is an
+representatives.  On a passing table and a hyperideal the induced
+operations are well defined by theorem (FINDINGS.md (viii)) and are read
+off one representative per class; on any other table or subset that is an
 explicit, exhaustively checked assertion instead of an assumption.
 A built table is validated when its `validation` is first read, except that
 products and quotients of passing tables are certified (FINDINGS.md).  A
@@ -18,8 +20,8 @@ from operator import getitem
 
 from .core import (ArityError, HyperringTable, ValidationReport, Violation,
                    f_extend, memoised)
-from .ideals import (_members_of, closed_sets, make_hyperideal, product_pack,
-                     worklist_closure)
+from .ideals import (_members_of, closed_sets, ideal_closure, make_hyperideal,
+                     product_pack, worklist_closure)
 
 
 class IllDefinedQuotientError(ValueError):
@@ -101,9 +103,11 @@ def product_ideal(ring, r1, r2, m1, m2):
 def quotient(ring, ideal):
     """Quotient by a proper hyperideal via the class map r -> f(r, Q, 0^(m-2)).
 
-    The classes must partition the carrier and the induced operations must
-    be independent of representatives; both are verified exhaustively and
-    violations raise IllDefinedQuotientError with a witness.  Returns the
+    The classes must partition the carrier, which is always verified, and
+    the induced operations must be independent of representatives, which
+    holds on a passing table and a hyperideal (FINDINGS.md (viii)) and is
+    verified over every representative tuple off the certificate.
+    Violations raise IllDefinedQuotientError with a witness.  Returns the
     quotient table and the projection homomorphism.
     """
     return _quotient(ring, _members_of(ideal))
@@ -146,10 +150,20 @@ def _quotient(ring, q_members):
                 f"of {ring.name}/{ring.subset_label(q_members)} both get the label {label!r}")
 
     image = {v: frozenset(proj[t] for t in v) for v in set(ring.f.values())}
+    # on a passing table and a hyperideal Q, every choice of representatives
+    # gives the same value (FINDINGS.md (viii)): read the class minima
+    certified = (ideal_closure(ring, q_members) == q_members
+                 and ring.validation.passed)
+    minima = [min(c) for c in classes]
     induced = {}
     for name, table, arity, project in (("f", ring.f, m, image), ("g", ring.g, n, proj)):
+        keys = itertools.product(range(len(classes)), repeat=arity)
+        if certified:
+            induced[name] = {key: project[table[reps]] for key, reps in
+                             zip(keys, itertools.product(minima, repeat=arity))}
+            continue
         induced[name] = {}
-        for key in itertools.product(range(len(classes)), repeat=arity):
+        for key in keys:
             value = None
             for reps in itertools.product(*[sorted(classes[i]) for i in key]):
                 got = project[table[reps]]

@@ -10,7 +10,8 @@ structure the two must agree; the test suite enforces it.
 Closures are worklists: each round handles only the elements new in that
 round, so every f- or g-tuple is evaluated once per closure, and a join
 of two closed sets starts from the larger.  The lattice search joins only
-the pairs with a set new in the round before.  Per-table indexes of g
+the pairs with a set new in the round before, and under a size bound it
+closes no set above the bound.  Per-table indexes of g
 give for each element the g-values of every n-tuple containing it (for
 absorption), and the value rows that row masks are unions of.  A subset
 is a hyperideal exactly when its closure adds nothing, and that is how
@@ -28,6 +29,7 @@ power radical reads all powers of an element off one chain of g lookups.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -189,24 +191,30 @@ def _canonical_order(sets):
     return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def closed_sets(ring, closure):
-    """Every set closed under closure(ring, seed, base), the least closed
-    set holding seed and the closed set base.
+def closed_sets(ring, closure, limit=math.inf):
+    """Every set of at most limit elements closed under closure(ring,
+    seed, base), the least closed set holding seed and the closed set base.
 
     Each closed set is the join (closure of the union) of the closures of
     its elements, so closing the singleton closures under binary joins
     yields the whole lattice, in canonical order.  A round joins only the
     pairs with a set new in the round before, closing the smaller onto the
     larger.  The least element is the closure of {0}, not {0} itself,
-    which a broken table need not keep closed.
+    which a broken table need not keep closed.  Every partial join on the
+    way to a closed S lies inside S, so a singleton closure or join above
+    the limit is not kept, and a pair whose union is above it is not
+    closed (FINDINGS.md (vii)).
     """
     found = set()
-    new = {closure(ring, frozenset([x])) for x in ring.carrier}
+    new = {s for s in (closure(ring, frozenset([x])) for x in ring.carrier)
+           if len(s) <= limit}
     while new:
         pairs = [*itertools.product(new, found), *itertools.combinations(new, 2)]
         found |= new
-        new = {closure(ring, *sorted(pair, key=len)) for pair in pairs
-               if not (pair[0] <= pair[1] or pair[1] <= pair[0])} - found
+        joins = (closure(ring, *sorted(pair, key=len)) for pair in pairs
+                 if not (pair[0] <= pair[1] or pair[1] <= pair[0])
+                 and len(pair[0] | pair[1]) <= limit)
+        new = {s for s in joins if len(s) <= limit} - found
     return _canonical_order(found)
 
 

@@ -13,7 +13,9 @@ vacuity is reported, never hidden.
 
 Desk-scale bounds: on-demand products are capped at 36 elements (triples at
 27), quotient-based monomorphisms at source size 8, and subhyperring
-instances at 12 elements, mirroring the size of the built-in corpus.
+instances at 12 elements, mirroring the size of the built-in corpus.  The
+subhyperring bound limits the lattice search too: no set above it is
+built, and each structure's bounded pool is memoised with its tables.
 """
 from __future__ import annotations
 
@@ -27,12 +29,11 @@ from .classify import (_IMPLICATIONS, _outcome, _record_entries, _squares,
                        is_kn_absorbing_q_primary, is_q_primary, is_sq_primary,
                        is_weakly_prime, is_weakly_primary, is_wsq_primary)
 
-from .construct import (Homomorphism, direct_product,
-                        enumerate_subhyperrings, image_ideal,
-                        preimage_ideal, product_ideal, product_pack,
-                        quotient, subhyperring_table)
-from .core import g_product
-from .ideals import (enumerate_hyperideals, hyperideal_product,
+from .construct import (Homomorphism, _subring_closure, direct_product,
+                        image_ideal, preimage_ideal, product_ideal,
+                        product_pack, quotient, subhyperring_table)
+from .core import g_product, memoised
+from .ideals import (closed_sets, enumerate_hyperideals, hyperideal_product,
                      generated_by, make_hyperideal, proper_hyperideals,
                      quotient_sets, radical_by_primes, radical_by_powers)
 
@@ -130,16 +131,6 @@ class _Harness:
                 for p in propers:
                     if q.members <= p.members:
                         yield ring, q, table, proj, p
-
-    def subrings(self, ring):
-        out = []
-        for s in enumerate_subhyperrings(ring):
-            if len(s) > MAX_SUBRING:
-                continue
-            table = subhyperring_table(ring, s)
-            if table is not None:
-                out.append((s, table))
-        return out
 
     def scope_name(self):
         return ",".join(r.name for r in self.structures)
@@ -498,9 +489,23 @@ def _check_4_12(h):
                 f"wsq-primary but {p.render()} is not"))
 
 
+@memoised("subring_pool")
+def _subring_pool(ring):
+    """(members, table) for each subhyperring of at most MAX_SUBRING
+    elements with a scalar identity of its own, in canonical order: the
+    bounded lattice search (FINDINGS.md (vii)), whose tables keep their
+    own memo from one run to the next."""
+    out = []
+    for s in closed_sets(ring, _subring_closure, MAX_SUBRING):
+        table = subhyperring_table(ring, s)
+        if table is not None:
+            out.append((s, table))
+    return out
+
+
 def _check_4_13(h):
     for ring in h.structures:
-        for members, sub in h.subrings(ring):
+        for members, sub in _subring_pool(ring):
             for p in proper_hyperideals(ring):
                 if members <= p.members or not is_wsq_primary(p):
                     continue

@@ -16,16 +16,19 @@ from hyperrings.classify import (ClassificationRecord,
                                  is_wsq_primary)
 from hyperrings.construct import (direct_product, enumerate_subhyperrings,
                                   quotient)
-from hyperrings.corpus import document_text
+from hyperrings.corpus import builtin_corpus, document_text
 from hyperrings.documents import parse_document
 from hyperrings.ideals import (ImproperIdealError, absorption_index,
                                enumerate_hyperideals, ideal_from_labels,
                                make_hyperideal, prime_hyperideals,
                                radical_by_powers, radical_by_primes,
                                row_masks, value_rows)
-from hyperrings.theorems import run_all
+from hyperrings.theorems import _subring_pool, run_all, run_theorem
 
 classify_module = importlib.import_module("hyperrings.classify")
+construct_module = importlib.import_module("hyperrings.construct")
+ideals_module = importlib.import_module("hyperrings.ideals")
+theorems_module = importlib.import_module("hyperrings.theorems")
 
 
 def fresh_g():
@@ -45,6 +48,7 @@ class TestMemoIdentity:
             "quotient": lambda: quotient(G, p),
             "enumerate_hyperideals": lambda: enumerate_hyperideals(G),
             "enumerate_subhyperrings": lambda: enumerate_subhyperrings(G),
+            "_subring_pool": lambda: _subring_pool(G),
             "radical_by_primes": lambda: radical_by_primes(G, zero),
             "radical_by_powers": lambda: radical_by_powers(G, zero),
             "classify": lambda: classify(p, 3),
@@ -161,6 +165,15 @@ class TestFailedCallsStoreNothing:
                           match="^k must be positive$")
         assert list(G.memo) == before
 
+    @pytest.mark.parametrize("k_max", [0, -5])
+    def test_classify_below_k_max_one(self, k_max):
+        G = fresh_g()
+        p = ideal_from_labels(G, "0,4")
+        before = list(G.memo)
+        self.raises_twice(G, ValueError, lambda: classify(p, k_max),
+                          match="^k must be positive$")
+        assert list(G.memo) == before
+
     def test_classify_of_an_improper_ideal(self):
         G = fresh_g()
         whole = make_hyperideal(G, G.full_set)
@@ -187,8 +200,9 @@ class TestFailedCallsStoreNothing:
 
 def _exercise_and_watch():
     """Derive everything the harness derives from a fresh G; return
-    weak references to G, to its square and to a quotient, whose memo
-    holds G as its parent while G's memo holds the quotient."""
+    weak references to G, to its square, to a quotient, whose memo
+    holds G as its parent while G's memo holds the quotient, and to the
+    subhyperring tables of G's pool, with their derived data."""
     G = fresh_g()
     for p in enumerate_hyperideals(G):
         if p.proper:
@@ -199,12 +213,39 @@ def _exercise_and_watch():
     product = direct_product(G, G)
     enumerate_hyperideals(product)
     run_all([G])
-    return weakref.ref(G), weakref.ref(product), weakref.ref(table)
+    subrings = [sub for _, sub in _subring_pool(G)]
+    assert len(subrings) == 4
+    # Thm 4.13 skips G|{0}, which lies inside every hyperideal
+    assert all(("hyperideals",) in sub.memo for sub in subrings[1:])
+    return [weakref.ref(x) for x in (G, product, table, *subrings)]
 
 
 def test_derived_data_is_released_with_its_table():
-    g_ref, product_ref, quotient_ref = _exercise_and_watch()
+    refs = _exercise_and_watch()
     gc.collect()
-    assert g_ref() is None
-    assert product_ref() is None
-    assert quotient_ref() is None
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_a_second_thm_4_13_builds_no_subhyperring(monkeypatch):
+    """The pool is memoised with its tables, and each table with its own
+    lattice, so a second run searches no lattice and builds no table."""
+    calls = []
+
+    def counted(name, function):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+        return call
+
+    for module in (ideals_module, construct_module, theorems_module):
+        for name in ("closed_sets", "subhyperring_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    corpus = builtin_corpus.__wrapped__()
+    first = run_theorem("Thm 4.13", corpus)
+    assert "closed_sets" in calls and "subhyperring_table" in calls
+    del calls[:]
+    second = run_theorem("Thm 4.13", corpus)
+    assert calls == []
+    assert second.render() == first.render()
