@@ -15,7 +15,9 @@ closes no set above the bound.  Per-table indexes of g
 give for each element the g-values of every n-tuple containing it (for
 absorption), and the value rows that row masks are unions of.  A subset
 is a hyperideal exactly when its closure adds nothing, and that is how
-`make_hyperideal` and `generated_by` decide it;
+`make_hyperideal` and `generated_by` decide it; both results are
+memoised with the table, by member set and by element, and
+`quotient_sets` reads each element's memoised row of g.
 `hyperideal_violations` names the broken invariants for error messages
 and serves as the test oracle.
 
@@ -113,7 +115,7 @@ def is_hyperideal(ring, members):
 
 def make_hyperideal(ring, members, strict=True):
     members = frozenset(members)
-    valid = ideal_closure(ring, members) == members
+    valid = _is_closed(ring, members)
     if not valid and strict:
         bad = hyperideal_violations(ring, members)
         raise ValueError(f"{ring.subset_label(members)} is not a hyperideal "
@@ -185,6 +187,12 @@ def worklist_closure(ring, seed, absorbing, base=frozenset()):
 def ideal_closure(ring, seed, base=frozenset()):
     """Smallest hyperideal holding the seed and a hyperideal base."""
     return worklist_closure(ring, seed, True, base)
+
+
+@memoised("closed")
+def _is_closed(ring, members):
+    """Whether the member set is its own ideal closure: a hyperideal."""
+    return ideal_closure(ring, members) == members
 
 
 def _canonical_order(sets):
@@ -384,6 +392,7 @@ class GeneratedIdeal:
     ideal: Hyperideal
 
 
+@memoised("generated")
 def generated_by(ring, x):
     raw = frozenset(g_product(ring, (r, x)) for r in ring.carrier)
     closed = ideal_closure(ring, raw)
@@ -398,9 +407,15 @@ class IdealSetPair:
     a_r: frozenset
 
 
+@memoised("g_row")
+def _g_row(ring, r):
+    """r's multiplication row: g(r, a, 1^(n-2)) for each element a."""
+    return tuple(g_product(ring, (r, a)) for a in ring.carrier)
+
+
 def quotient_sets(ring, ideal, r):
     members = _members_of(ideal)
-    products = [g_product(ring, (r, a)) for a in ring.carrier]
+    products = _g_row(ring, r)
     p_r = frozenset(a for a, v in enumerate(products) if v in members)
     a_r = frozenset(a for a, v in enumerate(products) if v == ring.zero)
     return IdealSetPair(p_r, a_r)

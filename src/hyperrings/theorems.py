@@ -16,6 +16,9 @@ Desk-scale bounds: on-demand products are capped at 36 elements (triples at
 instances at 12 elements, mirroring the size of the built-in corpus.  The
 subhyperring bound limits the lattice search too: no set above it is
 built, and each structure's bounded pool is memoised with its tables.
+So are Thm 3.7's n-tuples of hyperideals, with the masks of their
+g-products, squares and drops: the memos hold derived data of a table,
+never a verdict or a report.
 """
 from __future__ import annotations
 
@@ -34,8 +37,9 @@ from .construct import (Homomorphism, _subring_closure, direct_product,
                         product_pack, quotient, subhyperring_table)
 from .core import g_product, memoised
 from .ideals import (closed_sets, enumerate_hyperideals, hyperideal_product,
-                     generated_by, make_hyperideal, proper_hyperideals,
-                     quotient_sets, radical_by_primes, radical_by_powers)
+                     generated_by, make_hyperideal, mask_of,
+                     proper_hyperideals, quotient_sets, radical_by_primes,
+                     radical_by_powers)
 
 # a cap in elements at every arity: a product of passing factors skips the
 # axiom scan, so run_all([G^(3,3)]) builds its 36-element product in ~3 s
@@ -252,6 +256,10 @@ def _check_2_9(h):
 # -- section 3: sq-primary ---------------------------------------------------
 
 def _check_3_3(h):
+    # the paper's claim, kept by every n = 2 structure checked.  It is
+    # refuted at n = 3: on G^(2,3) and G^(3,3), {0} and {0,6} are
+    # sq-primary but not q-primary, as the omega(d) reading of ROADMAP.md
+    # open item 1(a) predicts for d = 12 and d = 6 in Z_12
     for ring, p in h.ideals:
         if is_sq_primary(p):
             yield ring, _unless(is_q_primary(p), lambda: (
@@ -277,37 +285,48 @@ def _check_3_5(h):
                          for p in proper_hyperideals(ring) if not is_sq_primary(p)]
 
 
-def _square_or_drop(ring, squares, family, p, rad):
-    """Thm 3.7's conclusion: for some i, the squares of the i-th ideal lie
-    in P, or the product with the i-th ideal dropped lies in rad P."""
-    for i in range(ring.n):
-        if all(squares[x] in p.members for x in family[i].members):
-            return True
-        rest = [sorted(family[j].members) for j in range(ring.n) if j != i]
-        if frozenset(ring.g[t[:i] + (ring.one,) + t[i:]]
-                     for t in itertools.product(*rest)) <= rad:
-            return True
-    return False
+@memoised("ideal_tuples")
+def _ideal_tuples(ring):
+    """Thm 3.7's data on each n-tuple of hyperideals, in product order:
+    (family, the mask of its g-product, for each position i the mask of
+    the i-th ideal's squares, and for each i the mask of the product with
+    the i-th ideal dropped, the identity in its place).  A drop mask is
+    built once for its position and remaining ideals."""
+    ideals = enumerate_hyperideals(ring)
+    members = [sorted(p.members) for p in ideals]
+    squares = _squares(ring)
+    square_masks = [mask_of({squares[x] for x in m}) for m in members]
+    g, one, n = ring.g, ring.one, ring.n
+
+    def over(idx):
+        return itertools.product(*[members[j] for j in idx])
+
+    drops = {(i, rest): mask_of({g[t[:i] + (one,) + t[i:]] for t in over(rest)})
+             for i in range(n)
+             for rest in itertools.product(range(len(ideals)), repeat=n - 1)}
+    return [(tuple(ideals[j] for j in idx),
+             mask_of({g[t] for t in over(idx)}),
+             tuple(square_masks[j] for j in idx),
+             tuple(drops[i, idx[:i] + idx[i + 1:]] for i in range(n)))
+            for idx in itertools.product(range(len(ideals)), repeat=n)]
 
 
 def _check_3_7(h):
+    # the conclusion at a tuple: for some i, the squares of the i-th ideal
+    # lie in P, or the product with the i-th ideal dropped lies in rad P
     for ring in h.structures:
         sq_ideals = [p for p in proper_hyperideals(ring) if is_sq_primary(p)]
         if not sq_ideals:
             continue
-        squares = _squares(ring)
-        families = []
-        for family in itertools.product(enumerate_hyperideals(ring), repeat=ring.n):
-            prod = frozenset(
-                ring.g[t] for t in itertools.product(*[sorted(i.members)
-                                                       for i in family]))
-            families.append((family, prod))
+        tuples = _ideal_tuples(ring)
         for p in sq_ideals:
-            rad = radical_by_primes(ring, p)
-            for family, prod in families:
-                if not prod <= p.members:
+            outside = ~mask_of(p.members)
+            beyond = ~mask_of(radical_by_primes(ring, p))
+            for family, prod, squares, drops in tuples:
+                if prod & outside:
                     continue
-                ok = _square_or_drop(ring, squares, family, p, rad)
+                ok = any(not sq & outside or not drop & beyond
+                         for sq, drop in zip(squares, drops))
                 yield ring, _unless(ok, lambda: (
                     f"sq-primary {p.render()} with ideal tuple "
                     f"{[i.render() for i in family]} violating the conclusion"))
@@ -334,6 +353,10 @@ def _check_3_8(h):
 
 
 def _check_3_9(h):
+    # the paper's claim: I1 x I2 is sq-primary exactly when one factor is
+    # sq-primary and the other is full.  It is refuted at n = 3: on the
+    # squares of G^(2,3) and G^(3,3), {0,4} x {0,4} and eight more products
+    # of proper factors are sq-primary (ROADMAP.md open item 1(b), open)
     for r1, r2, rp in h.pairs:
         for p1 in enumerate_hyperideals(r1):
             for p2 in enumerate_hyperideals(r2):
@@ -414,6 +437,10 @@ def _trichotomy(ring, p, rad, r):
 
 
 def _check_4_9(h):
+    # the paper's claim: P is wsq-primary exactly when the trichotomy holds
+    # at every r.  It is refuted at n = 3: on G^(2,3) and G^(3,3), {0,6} is
+    # wsq-primary but the trichotomy fails at r = 2 (ROADMAP.md open item
+    # 1(b), open)
     for ring, p in h.ideals:
         lhs = is_wsq_primary(p)
         rad = radical_by_primes(ring, p)

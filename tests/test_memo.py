@@ -18,12 +18,14 @@ from hyperrings.construct import (direct_product, enumerate_subhyperrings,
                                   quotient)
 from hyperrings.corpus import builtin_corpus, document_text
 from hyperrings.documents import parse_document
-from hyperrings.ideals import (ImproperIdealError, absorption_index,
-                               enumerate_hyperideals, ideal_from_labels,
+from hyperrings.ideals import (ImproperIdealError, _g_row, _is_closed,
+                               absorption_index, enumerate_hyperideals,
+                               generated_by, ideal_from_labels,
                                make_hyperideal, prime_hyperideals,
                                radical_by_powers, radical_by_primes,
                                row_masks, value_rows)
-from hyperrings.theorems import _subring_pool, run_all, run_theorem
+from hyperrings.theorems import (TheoremReport, _ideal_tuples, _subring_pool,
+                                 run_all, run_theorem)
 
 classify_module = importlib.import_module("hyperrings.classify")
 construct_module = importlib.import_module("hyperrings.construct")
@@ -57,9 +59,15 @@ class TestMemoIdentity:
             "row_masks": lambda: row_masks(G, p.members),
             "prime_hyperideals": lambda: prime_hyperideals(G),
             "_outcome": lambda: _outcome(G, p.members, "wsq_primary", None),
+            "generated_by": lambda: generated_by(G, G.index("2")),
+            "_g_row": lambda: _g_row(G, G.index("2")),
+            "_is_closed": lambda: _is_closed(G, p.members),
+            "_ideal_tuples": lambda: _ideal_tuples(G),
         }
         for name, call in calls.items():
             assert call() is call(), name
+        # a bool is the same object either way: the entry shows the hit
+        assert G.memo[("closed", p.members)] is True
 
     def test_equal_arguments_share_an_entry(self):
         G = fresh_g()
@@ -178,8 +186,8 @@ class TestFailedCallsStoreNothing:
         G = fresh_g()
         whole = make_hyperideal(G, G.full_set)
         self.raises_twice(G, ImproperIdealError, lambda: classify(whole))
-        # only the absorption index, which the hyperideal test builds
-        assert list(G.memo) == [("absorption",)]
+        # only the absorption index and make_hyperideal's closure test
+        assert list(G.memo) == [("absorption",), ("closed", G.full_set)]
 
     def test_forced_disagreement(self, monkeypatch):
         original = classify_module._kn_absorbing_eval
@@ -213,6 +221,10 @@ def _exercise_and_watch():
     product = direct_product(G, G)
     enumerate_hyperideals(product)
     run_all([G])
+    # derived data of the table only, never a theorem's report
+    assert {"ideal_tuples", "generated", "g_row", "closed"} <= {
+        key[0] for key in G.memo}
+    assert not any(isinstance(v, TheoremReport) for v in G.memo.values())
     subrings = [sub for _, sub in _subring_pool(G)]
     assert len(subrings) == 4
     # Thm 4.13 skips G|{0}, which lies inside every hyperideal
@@ -249,3 +261,25 @@ def test_a_second_thm_4_13_builds_no_subhyperring(monkeypatch):
     second = run_theorem("Thm 4.13", corpus)
     assert calls == []
     assert second.render() == first.render()
+
+
+def test_a_second_run_of_the_sq_and_wsq_checkers_closes_nothing(monkeypatch):
+    """Thm 3.7's tuple masks, the generated ideals, the multiplication rows
+    and make_hyperideal's closure test are memoised with the table, so a
+    second run of these checkers closes no set."""
+    calls = []
+    for module in (ideals_module, construct_module):
+        def counted(*args, original=module.worklist_closure):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(module, "worklist_closure", counted)
+    for theorem_id in ("Thm 3.7", "Thm 3.8", "Thm 4.9", "Thm 4.11",
+                       "Cor 4.12"):
+        corpus = builtin_corpus.__wrapped__()
+        del calls[:]
+        first = run_theorem(theorem_id, corpus)
+        assert calls, theorem_id
+        del calls[:]
+        second = run_theorem(theorem_id, corpus)
+        assert calls == [], theorem_id
+        assert second.render() == first.render()

@@ -1,14 +1,17 @@
+import itertools
 from pathlib import Path
 
 import pytest
 
-from hyperrings.classify import classify
-from hyperrings.ideals import proper_hyperideals
+from hyperrings.classify import _squares, classify
+from hyperrings.ideals import (enumerate_hyperideals, mask_of,
+                               proper_hyperideals, radical_by_primes)
 from hyperrings.theorems import (KNOWN_IMPLICATIONS, THEOREM_IDS,
-                                 StructureRejectedError, implication_matrix,
-                                 run_all, run_theorem, summary_line)
+                                 StructureRejectedError, _ideal_tuples,
+                                 implication_matrix, run_all, run_theorem,
+                                 summary_line)
 
-from conftest import mutate
+from conftest import fold, mutate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,6 +103,16 @@ class TestRunAll:
         # pins 4 fails, 18 of whose 21 counterexamples sit on the product
         self.assert_golden(G33, "theorems_g33.txt")
 
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
+    def test_a_warm_run_renders_as_the_cold_one(self, G, m, n):
+        # a fresh fold, so the first run is cold; four reports fail,
+        # Thm 4.9's with an r that the memoised rows and ideals supply
+        ring = fold(G, m, n)
+        cold = [r.render() for r in run_all([ring])]
+        warm = [r.render() for r in run_all([ring])]
+        assert sum(": fail (" in block for block in cold) == 4
+        assert warm == cold
+
     def test_run_theorem_is_its_run_all_block(self, corpus):
         blocks = {r.theorem_id: r.render() for r in run_all(corpus)}
         for tid in THEOREM_IDS:
@@ -122,6 +135,46 @@ class TestRunAll:
         line = summary_line(reports)
         assert line.startswith(f"theorems: {len(THEOREM_IDS)};")
         assert "fail: 0" in line
+
+
+def _square_or_drop(ring, squares, family, p, rad):
+    """Thm 3.7's conclusion: for some i, the squares of the i-th ideal lie
+    in P, or the product with the i-th ideal dropped lies in rad P."""
+    for i in range(ring.n):
+        if all(squares[x] in p.members for x in family[i].members):
+            return True
+        rest = [sorted(family[j].members) for j in range(ring.n) if j != i]
+        if frozenset(ring.g[t[:i] + (ring.one,) + t[i:]]
+                     for t in itertools.product(*rest)) <= rad:
+            return True
+    return False
+
+
+def test_thm_3_7_masks_decide_as_the_sets_did(corpus, folds):
+    """The memoised tuple masks against the set computations they replaced
+    (the oracle above, and the g-product as a set), for every proper P and
+    every n-tuple of hyperideals, in the same order."""
+    decisions, verdicts = set(), set()
+    for ring in [*corpus, *folds]:
+        squares = _squares(ring)
+        tuples = _ideal_tuples(ring)
+        families = list(itertools.product(enumerate_hyperideals(ring),
+                                          repeat=ring.n))
+        assert [entry[0] for entry in tuples] == families
+        products = [frozenset(ring.g[t] for t in itertools.product(
+            *[sorted(i.members) for i in family])) for family in families]
+        for p in proper_hyperideals(ring):
+            rad = radical_by_primes(ring, p)
+            outside, beyond = ~mask_of(p.members), ~mask_of(rad)
+            for (family, prod, square_masks, drops), product in zip(tuples, products):
+                inside = not prod & outside
+                assert inside == (product <= p.members)
+                ok = any(not sq & outside or not drop & beyond
+                         for sq, drop in zip(square_masks, drops))
+                assert ok == _square_or_drop(ring, squares, family, p, rad)
+                decisions.add(inside)
+                verdicts.add(ok)
+    assert decisions == verdicts == {True, False}
 
 
 class TestImplicationMatrix:
