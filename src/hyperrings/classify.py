@@ -1,13 +1,20 @@
 """Hyperideal predicates: prime, primary, q-primary, absorbing variants,
 sq-primary and wsq-primary, plus full classification records.
 
-All predicates quantify exhaustively over tuples of carrier elements;
+The predicates quantify exhaustively over tuples of carrier elements;
 witnesses are the first violating tuple in lexicographic carrier order so
-that golden outputs stay deterministic.  The scans go row by row: a tuple
-is a prefix and a last entry c, and `ideals.row_masks` gives, for each
-prefix, the bitmask of the c whose g-value lies in a set.  A prefix
-settles every c at once with a few mask operations, and since c varies
-fastest, the witness is the first failing prefix with its least c left.
+that golden outputs stay deterministic.  One case is decided by a count
+instead: on a table that passes validation, a member set that equals its
+own radical is (k,n)-absorbing, and (k,n)-absorbing primary, exactly when
+at most (k-1)(n-1)+1 minimal primes lie over it (FINDINGS.md (ix)); the
+scan then runs only for the witness of a False count.  Non-radical sets,
+failing tables and the tuple form of absorbing q-primary keep their
+scans, and that tuple form, checked against the count on the radical,
+stays the cross-check.  The scans go row by row: a tuple is a prefix
+and a last entry c, and `ideals.row_masks` gives, for each prefix, the
+bitmask of the c whose g-value lies in a set.  A prefix settles every c
+at once with a few mask operations, and since c varies fastest, the
+witness is the first failing prefix with its least c left.
 Every predicate is an entry of `_EVALUATORS`, read through the memoised
 `_outcome`.  That table names the predicates and orders a classification
 record (`_record_entries`); `_outcome` checks, on a memo miss only, that
@@ -23,7 +30,8 @@ from operator import itemgetter
 
 from .core import g_product, memoised
 from .ideals import (Hyperideal, ImproperIdealError, complement, lowest,
-                     mask_of, radical_by_primes, row_masks, tuple_scan)
+                     mask_of, prime_hyperideals, radical_by_primes, row_masks,
+                     tuple_scan)
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -149,6 +157,34 @@ def _kn_absorbing_eval(ring, members, target, k):
                            not ring.validation.passed)
 
 
+def _counts_minimal_primes(ring, members):
+    """Whether the count of minimal primes decides the absorbing
+    predicates: on a passing table, for a member set that is its own
+    radical."""
+    return (ring.validation.passed
+            and radical_by_primes(ring, members) == members)
+
+
+def _absorbing_eval(ring, members, k):
+    """(k,n)-absorbing.  A radical of a passing table with t minimal primes
+    over it is (k,n)-absorbing exactly when t <= (k-1)(n-1)+1 (FINDINGS.md
+    (ix)), so the scan runs there only for the witness of a False count,
+    and must find one."""
+    if not _counts_minimal_primes(ring, members):
+        return _kn_absorbing_eval(ring, members, members, k)
+    above = [p.members for p in prime_hyperideals(ring)
+             if members <= p.members]
+    t = sum(not any(q < p for q in above) for p in above)
+    if t <= (k - 1) * (ring.n - 1) + 1:
+        return True, None
+    out = _kn_absorbing_eval(ring, members, members, k)
+    if out[0]:
+        raise InternalInconsistencyError(
+            f"{ring.subset_label(members)} has {t} minimal primes but the "
+            f"({k},{ring.n})-absorbing scan finds no witness")
+    return out
+
+
 # -- memoised outcomes --------------------------------------------------------
 
 def _q_primary_eval(ring, members, k):
@@ -160,8 +196,9 @@ def _q_primary_eval(ring, members, k):
 
 def _kn_absorbing_q_primary_eval(ring, members, k):
     """The radical of the ideal is (k,n)-absorbing: checked on the radical,
-    and by the tuple condition on the ideal with the radical as target.  A
-    disagreement means a bug, not mathematics, and raises.  False when the
+    by its count of minimal primes on a passing table, and by the tuple
+    condition on the ideal with the radical as target.  A disagreement
+    means a bug, not mathematics, and raises.  False when the
     radical is improper, since an absorbing hyperideal is proper."""
     rad = radical_by_primes(ring, members)
     if len(rad) == ring.size:
@@ -178,7 +215,9 @@ def _kn_absorbing_q_primary_eval(ring, members, k):
 
 # predicate name -> evaluator(ring, members, k), giving (ok, witness), in
 # record order: the seven n-tuple predicates, the three of k, then the tuple
-# form of absorbing q-primary, a cross-check that no record lists
+# form of absorbing q-primary, a cross-check that no record lists.  The two
+# absorbing evaluators count minimal primes on the radicals of a passing
+# table and scan every other member set
 _EVALUATORS = {
     "prime": lambda ring, p, k: tuple_scan(ring, p, complement(ring, p)),
     "weakly_prime": lambda ring, p, k: tuple_scan(
@@ -190,9 +229,12 @@ _EVALUATORS = {
     "q_primary": _q_primary_eval,
     "sq_primary": lambda ring, p, k: _sq_eval(ring, p, weak=False),
     "wsq_primary": lambda ring, p, k: _sq_eval(ring, p, weak=True),
-    "absorbing": lambda ring, p, k: _kn_absorbing_eval(ring, p, p, k),
-    "absorbing_primary": lambda ring, p, k: _absorbing_scan(
-        ring, p, p, radical_by_primes(ring, p), k, True),
+    "absorbing": _absorbing_eval,
+    # on a radical of a passing table, lead = target = p and g commutes, so
+    # the ordered scan decides absorbing and finds its first witness
+    "absorbing_primary": lambda ring, p, k: (
+        _outcome(ring, p, "absorbing", k) if _counts_minimal_primes(ring, p)
+        else _absorbing_scan(ring, p, p, radical_by_primes(ring, p), k, True)),
     "absorbing_q_primary": _kn_absorbing_q_primary_eval,
     "absorbing_q_primary_tuples": lambda ring, p, k: _kn_absorbing_eval(
         ring, p, radical_by_primes(ring, p), k),

@@ -16,8 +16,9 @@ give for each element the g-values of every n-tuple containing it (for
 absorption), and the value rows that row masks are unions of.  A subset
 is a hyperideal exactly when its closure adds nothing, and that is how
 `make_hyperideal` and `generated_by` decide it; both results are
-memoised with the table, by member set and by element, and
-`quotient_sets` reads each element's memoised row of g.
+memoised with the table, by member set and by element, as is
+`hyperideal_product` by its factors' member sets, and `quotient_sets`
+reads each element's memoised row of g.
 `hyperideal_violations` names the broken invariants for error messages
 and serves as the test oracle.
 
@@ -434,9 +435,14 @@ def hyperideal_product(ring, factors):
 
     Factors beyond the given ones are the singleton {1}, mirroring the
     1^(n-2) padding convention; whether closure added anything is recorded
-    so the raw set stays auditable.
+    so the raw set stays auditable.  Memoised by the factors' member sets.
     """
-    sets = [sorted(_members_of(p)) for p in factors]
+    return _hyperideal_product(ring, tuple(map(_members_of, factors)))
+
+
+@memoised("ideal_product")
+def _hyperideal_product(ring, factors):
+    sets = [sorted(p) for p in factors]
     if not sets or len(sets) > ring.n:
         raise ArityError(f"need between 1 and {ring.n} factors, got {len(sets)}")
     while len(sets) < ring.n:

@@ -20,10 +20,10 @@ from hyperrings.corpus import builtin_corpus, document_text
 from hyperrings.documents import parse_document
 from hyperrings.ideals import (ImproperIdealError, _g_row, _is_closed,
                                absorption_index, enumerate_hyperideals,
-                               generated_by, ideal_from_labels,
-                               make_hyperideal, prime_hyperideals,
-                               radical_by_powers, radical_by_primes,
-                               row_masks, value_rows)
+                               generated_by, hyperideal_product,
+                               ideal_from_labels, make_hyperideal,
+                               prime_hyperideals, radical_by_powers,
+                               radical_by_primes, row_masks, value_rows)
 from hyperrings.theorems import (TheoremReport, _ideal_tuples, _subring_pool,
                                  run_all, run_theorem)
 
@@ -63,6 +63,7 @@ class TestMemoIdentity:
             "_g_row": lambda: _g_row(G, G.index("2")),
             "_is_closed": lambda: _is_closed(G, p.members),
             "_ideal_tuples": lambda: _ideal_tuples(G),
+            "hyperideal_product": lambda: hyperideal_product(G, [p, p]),
         }
         for name, call in calls.items():
             assert call() is call(), name
@@ -222,7 +223,8 @@ def _exercise_and_watch():
     enumerate_hyperideals(product)
     run_all([G])
     # derived data of the table only, never a theorem's report
-    assert {"ideal_tuples", "generated", "g_row", "closed"} <= {
+    assert {"ideal_tuples", "generated", "g_row", "closed",
+            "ideal_product"} <= {
         key[0] for key in G.memo}
     assert not any(isinstance(v, TheoremReport) for v in G.memo.values())
     subrings = [sub for _, sub in _subring_pool(G)]
@@ -264,9 +266,10 @@ def test_a_second_thm_4_13_builds_no_subhyperring(monkeypatch):
 
 
 def test_a_second_run_of_the_sq_and_wsq_checkers_closes_nothing(monkeypatch):
-    """Thm 3.7's tuple masks, the generated ideals, the multiplication rows
-    and make_hyperideal's closure test are memoised with the table, so a
-    second run of these checkers closes no set."""
+    """Thm 3.7's tuple masks, the generated ideals, the multiplication rows,
+    make_hyperideal's closure test and the products of hyperideals are
+    memoised with the table, so a second run of these checkers closes no
+    set."""
     calls = []
     for module in (ideals_module, construct_module):
         def counted(*args, original=module.worklist_closure):
@@ -274,7 +277,8 @@ def test_a_second_run_of_the_sq_and_wsq_checkers_closes_nothing(monkeypatch):
             return original(*args)
         monkeypatch.setattr(module, "worklist_closure", counted)
     for theorem_id in ("Thm 3.7", "Thm 3.8", "Thm 4.9", "Thm 4.11",
-                       "Cor 4.12"):
+                       "Cor 4.12", "Thm 3.4", "Thm 4.7", "Cor 4.8",
+                       "Thm 4.4"):
         corpus = builtin_corpus.__wrapped__()
         del calls[:]
         first = run_theorem(theorem_id, corpus)

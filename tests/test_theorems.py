@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from hyperrings.classify import _squares, classify
+from hyperrings.construct import direct_product
 from hyperrings.ideals import (enumerate_hyperideals, mask_of,
                                proper_hyperideals, radical_by_primes)
 from hyperrings.theorems import (KNOWN_IMPLICATIONS, THEOREM_IDS,
@@ -102,6 +103,13 @@ class TestRunAll:
         # made while products were still validated by scan (46 s then);
         # pins 4 fails, 18 of whose 21 counterexamples sit on the product
         self.assert_golden(G33, "theorems_g33.txt")
+
+    def test_gxg_times_g_mod_0246_golden(self, GxG, G_mod_0246):
+        # made while the absorbing predicates of radicals were still
+        # decided by tuple scans; pins Thm 2.6, 2.7 and 2.9 on 72 elements,
+        # where radicals have up to 5 minimal primes
+        self.assert_golden(direct_product(GxG, G_mod_0246),
+                           "theorems_gxg_x_g_mod_0246.txt")
 
     @pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
     def test_a_warm_run_renders_as_the_cold_one(self, G, m, n):
