@@ -120,13 +120,14 @@ def _absorbing_scan(ring, members, lead, target, k, ordered):
     # at k = 1 the subset of the last entry alone is one fixed mask
     fixed = mask_of(c for c in outside
                     if k == 1 and folds[(c,) + pad] in target)
+    full = mask_of(outside) & ~fixed
     if ordered:
         prefixes = itertools.product(outside, repeat=length - 1)
-        allowed = dict.fromkeys(outside, mask_of(outside) & ~fixed)
+        allowed = dict.fromkeys(outside, full)
     else:
         prefixes = itertools.combinations_with_replacement(outside, length - 1)
-        allowed = {x: mask_of(c for c in outside if c >= x) & ~fixed
-                   for x in outside}
+        # -(1 << x) has every bit from x up set: full less the bits below x
+        allowed = {x: full & -(1 << x) for x in outside}
     for prefix in prefixes:
         if k == 1:
             head = folds[prefix[:1] + pad]    # the leading subset's product

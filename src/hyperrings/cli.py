@@ -28,9 +28,7 @@ class _CliError(Exception):
 def _load(path, skip_validation=False):
     try:
         ring = load_path(path, validate=False)
-    except DocumentError as e:
-        raise _CliError(f"{path}: {e}", 2)
-    except OSError as e:
+    except (DocumentError, OSError) as e:
         raise _CliError(f"{path}: {e}", 2)
     if not skip_validation and not ring.validation.passed:
         raise _CliError(
@@ -39,6 +37,18 @@ def _load(path, skip_validation=False):
             f"run `hr validate {path}` for the report or pass --no-validate",
             1)
     return ring
+
+
+def _write(path, table):
+    """Write the table's document to path; a path that cannot be written
+    is a usage error, as an unreadable input is."""
+    text = serialize_document(table)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise _CliError(f"{path}: {e}", 2)
+    print(f"wrote {table.name} ({table.size} elements) to {path}")
 
 
 def _members(ring, spec):
@@ -115,9 +125,7 @@ def _cmd_product(args):
         ring = direct_product(a, b)
     except ValueError as e:
         raise _CliError(str(e), 2)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(serialize_document(ring))
-    print(f"wrote {ring.name} ({ring.size} elements) to {args.output}")
+    _write(args.output, ring)
     return 0
 
 
@@ -128,9 +136,7 @@ def _cmd_quotient(args):
         table, _ = quotient(ring, ideal)
     except ValueError as e:
         raise _CliError(str(e), 1)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(serialize_document(table))
-    print(f"wrote {table.name} ({table.size} elements) to {args.output}")
+    _write(args.output, table)
     return 0
 
 

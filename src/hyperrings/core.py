@@ -66,36 +66,23 @@ class ValidationReport:
 
 
 def memoised(tag):
-    """Keep compute(ring, *args) in ring.memo[(tag, *args)], the only code
-    that reads or writes a computed memo entry.  Every call site passes the
-    same arity, so one computation has one entry.  A miss computes after
-    the try block, so a build error does not chain the lookup's KeyError,
-    and a call that raises stores nothing.  A compute of one argument
-    after the ring gets a wrapper without *args, which CPython 3.11 calls
-    inline: memo hits are most of a warm pass."""
-    head = (tag,)
-
+    """Keep compute(ring, *args) in ring.memo[tag][args], one dict per tag;
+    this is the only code that reads or writes a computed memo entry.
+    Every call site passes the same arity, so one computation has one
+    entry.  A miss computes after the try block, so a build error does not
+    chain the lookup's KeyError, and the tag's dict is made only once the
+    compute returns, so a call that raises stores nothing."""
     def decorate(compute):
+        @wraps(compute)
         def cached(ring, *args):
-            key = head + args
             try:
-                return ring.memo[key]
+                return ring.memo[tag][args]
             except KeyError:
                 pass
-            value = ring.memo[key] = compute(ring, *args)
+            value = compute(ring, *args)
+            ring.memo.setdefault(tag, {})[args] = value
             return value
-
-        def cached_one(ring, arg):
-            key = (tag, arg)
-            try:
-                return ring.memo[key]
-            except KeyError:
-                pass
-            value = ring.memo[key] = compute(ring, arg)
-            return value
-
-        return wraps(compute)(cached_one if compute.__code__.co_argcount == 2
-                              else cached)
+        return cached
     return decorate
 
 
@@ -125,9 +112,9 @@ class HyperringTable:
     g by validation.  `validation` is the `validate_krasner` report,
     computed on first read; `direct_product` and `quotient` set it instead
     on a product or quotient of passing tables.  `memo` holds the data
-    derived from the table, each datum kept there by `memoised`, a
-    certified product's factors and a certified quotient's parent; it is
-    released with the table.
+    derived from the table, each datum kept by `memoised` at
+    `memo[tag][args]`, beside a certified product's `memo["factors"]` and a
+    certified quotient's `memo["parent"]`; it is released with the table.
     """
 
     def __init__(self, name, m, n, labels, zero, one, f, g):

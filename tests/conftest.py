@@ -114,6 +114,16 @@ def mutate(ring, name, f_overrides=None, g_overrides=None):
                           ring.one, f, g)
 
 
+def memo_entries(ring):
+    """Every entry that `core.memoised` keeps in the ring's memo, as a dict
+    from its (tag, args) pair to its value, tag by tag in the order the
+    tags were first stored.  A certified product's "factors" and a
+    certified quotient's "parent" are not entries."""
+    return {(tag, args): value for tag, entries in ring.memo.items()
+            if tag not in ("factors", "parent")
+            for args, value in entries.items()}
+
+
 def brute_force_hyperideals(ring):
     """Oracle: filter all subsets containing zero through is_hyperideal."""
     rest = [x for x in ring.carrier if x != ring.zero]

@@ -14,7 +14,7 @@ from hyperrings.documents import parse_document
 from hyperrings.ideals import (prime_hyperideals, proper_hyperideals,
                                radical_by_primes)
 
-from conftest import fold, load_gen
+from conftest import fold, load_gen, memo_entries
 
 classify_module = importlib.import_module("hyperrings.classify")
 
@@ -139,7 +139,7 @@ def test_a_false_count_without_a_witness_raises(monkeypatch):
                            match=r"^\{0,6\} has 2 minimal primes but the "
                                  r"\(1,2\)-absorbing scan finds no witness$"):
             predicate(p, 1)
-        assert not any(key[0] == "outcome" and key[2] in (
-            "absorbing", "absorbing_primary") for key in G.memo)
+        assert not any(tag == "outcome" and args[1] in (
+            "absorbing", "absorbing_primary") for tag, args in memo_entries(G))
     # a True count never reaches the patched scan
     assert is_kn_absorbing(p, 2)

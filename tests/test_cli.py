@@ -193,6 +193,21 @@ class TestProductAndQuotient:
                   "-o", str(tmp_path / "x.json")])
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("product", "g.json", "g.json"),
+        ("quotient", "g.json", "--ideal", "0,6")], ids=["product", "quotient"])
+    def test_unwritable_output_is_a_usage_error(self, docs, tmp_path, capsys,
+                                                argv):
+        target = tmp_path / "missing" / "x.json"
+        command, *rest = argv
+        rest = [str(docs / a) if a.endswith(".json") else a for a in rest]
+        code, out, err = run(capsys, command, *rest, "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {target}: ")
+        assert "No such file or directory" in err
+        assert not target.parent.exists()
+
 
 class TestTheorems:
     def test_single_file(self, docs, capsys):

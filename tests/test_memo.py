@@ -27,6 +27,8 @@ from hyperrings.ideals import (ImproperIdealError, _g_row, _is_closed,
 from hyperrings.theorems import (TheoremReport, _ideal_tuples, _subring_pool,
                                  run_all, run_theorem)
 
+from conftest import memo_entries
+
 classify_module = importlib.import_module("hyperrings.classify")
 construct_module = importlib.import_module("hyperrings.construct")
 ideals_module = importlib.import_module("hyperrings.ideals")
@@ -35,6 +37,14 @@ theorems_module = importlib.import_module("hyperrings.theorems")
 
 def fresh_g():
     return parse_document(document_text("g.json"))
+
+
+# the tag of each memoised function; "factors" and "parent" are taken by
+# the certificates that direct_product and quotient write
+TAGS = {"product", "quotient", "hyperideals", "subhyperrings", "subring_pool",
+        "radical_by_primes", "radical_by_powers", "classify", "absorption",
+        "value_rows", "rows", "prime_hyperideals", "outcome", "generated",
+        "g_row", "closed", "ideal_tuples", "ideal_product"}
 
 
 class TestMemoIdentity:
@@ -68,7 +78,16 @@ class TestMemoIdentity:
         for name, call in calls.items():
             assert call() is call(), name
         # a bool is the same object either way: the entry shows the hit
-        assert G.memo[("closed", p.members)] is True
+        assert memo_entries(G)[("closed", (p.members,))] is True
+        # G is certified by nothing, so every key of its memo is a tag
+        assert set(G.memo) == TAGS
+        assert not set(G.memo) & {"factors", "parent"}
+        # and the certificates survive memoised calls on their tables
+        product, (table, _) = direct_product(G, G), quotient(G, p)
+        enumerate_hyperideals(product)
+        enumerate_hyperideals(table)
+        assert product.memo["factors"] == (G, G)
+        assert table.memo["parent"][0] is G
 
     def test_equal_arguments_share_an_entry(self):
         G = fresh_g()
@@ -89,20 +108,21 @@ class TestMemoIdentity:
                                     is_kn_absorbing_q_primary)]
         for predicate in predicates:
             predicate(p)
-            before = list(G.memo)
+            before = list(memo_entries(G))
             predicate(p)
-            assert list(G.memo) == before
+            assert list(memo_entries(G)) == before
         # _outcome and classify read the entries the predicates wrote
         _outcome(G, p.members, "wsq_primary", None)
         classify(p, 3)
-        assert len(G.memo) == len(before) + 1
+        assert list(memo_entries(G)) == before + [
+            ("classify", (p.members, True, 3))]
 
     def test_product_lives_in_the_first_factor(self):
         G = fresh_g()
         Q = parse_document(document_text("g_mod_06.json"))
         product = direct_product(G, Q)
-        assert product in G.memo.values()
-        assert product not in Q.memo.values()
+        assert memo_entries(G)[("product", (Q,))] is product
+        assert product not in memo_entries(Q).values()
         assert direct_product(Q, G) is not product
 
 
@@ -111,18 +131,20 @@ def test_row_masks_sit_only_in_their_table_memo():
     p = ideal_from_labels(G, "0,4")
     classify(p, 3)
     classify(ideal_from_labels(other, "0,4"), 3)
-    keys = [key for key in G.memo if key[0] == "rows"]
-    assert ("rows", p.members) in keys
-    assert ("rows", radical_by_primes(G, p)) in keys
-    for key in keys:
-        rows = G.memo[key]
+    entries = memo_entries(G)
+    keys = [args for tag, args in entries if tag == "rows"]
+    assert (p.members,) in keys
+    assert (radical_by_primes(G, p),) in keys
+    for args in keys:
+        rows = entries["rows", args]
         assert rows == {t[:-1]: sum(1 << c for c in G.carrier
-                                    if G.g[t[:-1] + (c,)] in key[1])
+                                    if G.g[t[:-1] + (c,)] in args[0])
                         for t in G.g}
         # no module-level cache or other table holds them
-        assert rows is not other.memo[key]
+        assert rows is not memo_entries(other)["rows", args]
         assert [r for r in gc.get_referrers(rows)
-                if isinstance(r, dict)] == [G.memo]
+                if isinstance(r, dict) and r is not entries] == [
+                    G.memo["rows"]]
 
 
 class TestFailedCallsStoreNothing:
@@ -130,12 +152,12 @@ class TestFailedCallsStoreNothing:
     def raises_twice(ring, exc, call, match=None):
         with pytest.raises(exc, match=match):
             call()
-        before = list(ring.memo)
+        before = list(memo_entries(ring))
         with pytest.raises(exc, match=match):
             call()
-        assert list(ring.memo) == before
+        assert list(memo_entries(ring)) == before
         assert not any(isinstance(v, ClassificationRecord)
-                       for v in ring.memo.values())
+                       for v in memo_entries(ring).values())
 
     def test_quotient_by_the_whole_ring(self):
         G = fresh_g()
@@ -158,37 +180,38 @@ class TestFailedCallsStoreNothing:
     def test_predicate_on_an_improper_ideal(self, predicate):
         G = fresh_g()
         whole = make_hyperideal(G, G.full_set)
-        before = list(G.memo)
+        before = list(memo_entries(G))
         self.raises_twice(G, ImproperIdealError, lambda: predicate(whole),
                           match=r"^\{0,1,2,3,4,6\} is the whole of G$")
         # in particular, no "outcome" entry
-        assert list(G.memo) == before
+        assert list(memo_entries(G)) == before
 
     @pytest.mark.parametrize("predicate", [
         is_kn_absorbing, is_kn_absorbing_primary, is_kn_absorbing_q_primary])
     def test_k_predicate_at_k_zero(self, predicate):
         G = fresh_g()
         p = ideal_from_labels(G, "0,4")
-        before = list(G.memo)
+        before = list(memo_entries(G))
         self.raises_twice(G, ValueError, lambda: predicate(p, 0),
                           match="^k must be positive$")
-        assert list(G.memo) == before
+        assert list(memo_entries(G)) == before
 
     @pytest.mark.parametrize("k_max", [0, -5])
     def test_classify_below_k_max_one(self, k_max):
         G = fresh_g()
         p = ideal_from_labels(G, "0,4")
-        before = list(G.memo)
+        before = list(memo_entries(G))
         self.raises_twice(G, ValueError, lambda: classify(p, k_max),
                           match="^k must be positive$")
-        assert list(G.memo) == before
+        assert list(memo_entries(G)) == before
 
     def test_classify_of_an_improper_ideal(self):
         G = fresh_g()
         whole = make_hyperideal(G, G.full_set)
         self.raises_twice(G, ImproperIdealError, lambda: classify(whole))
         # only the absorption index and make_hyperideal's closure test
-        assert list(G.memo) == [("absorption",), ("closed", G.full_set)]
+        assert list(memo_entries(G)) == [("absorption", ()),
+                                         ("closed", (G.full_set,))]
 
     def test_forced_disagreement(self, monkeypatch):
         original = classify_module._kn_absorbing_eval
@@ -223,14 +246,15 @@ def _exercise_and_watch():
     enumerate_hyperideals(product)
     run_all([G])
     # derived data of the table only, never a theorem's report
+    entries = memo_entries(G)
     assert {"ideal_tuples", "generated", "g_row", "closed",
-            "ideal_product"} <= {
-        key[0] for key in G.memo}
-    assert not any(isinstance(v, TheoremReport) for v in G.memo.values())
+            "ideal_product"} <= {tag for tag, _ in entries}
+    assert not any(isinstance(v, TheoremReport) for v in entries.values())
     subrings = [sub for _, sub in _subring_pool(G)]
     assert len(subrings) == 4
     # Thm 4.13 skips G|{0}, which lies inside every hyperideal
-    assert all(("hyperideals",) in sub.memo for sub in subrings[1:])
+    assert all(("hyperideals", ()) in memo_entries(sub)
+               for sub in subrings[1:])
     return [weakref.ref(x) for x in (G, product, table, *subrings)]
 
 
