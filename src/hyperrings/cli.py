@@ -55,7 +55,7 @@ def _members(ring, spec):
     try:
         return frozenset(ring.index(lab) for lab in spec.split(","))
     except KeyError as e:
-        raise _CliError(str(e), 2)
+        raise _CliError(e.args[0], 2)
 
 
 def _ideal(ring, spec, fatal=False):
@@ -134,6 +134,8 @@ def _cmd_quotient(args):
     ideal = _ideal(ring, args.ideal, fatal=True)
     try:
         table, _ = quotient(ring, ideal)
+    except ImproperIdealError as e:
+        raise _CliError(str(e), 2)
     except ValueError as e:
         raise _CliError(str(e), 1)
     _write(args.output, table)

@@ -20,8 +20,8 @@ from operator import getitem
 
 from .core import (ArityError, HyperringTable, ValidationReport, Violation,
                    f_extend, memoised)
-from .ideals import (_is_closed, _members_of, closed_sets, make_hyperideal,
-                     product_pack, worklist_closure)
+from .ideals import (ImproperIdealError, _is_closed, _members_of, closed_sets,
+                     make_hyperideal, product_pack, worklist_closure)
 
 
 class IllDefinedQuotientError(ValueError):
@@ -94,12 +94,6 @@ def direct_product(r1, r2):
     return ring
 
 
-def product_ideal(ring, r1, r2, m1, m2):
-    """The ideal I1 x I2 inside a direct product built from r1, r2."""
-    members = frozenset(product_pack(r2, a, b) for a in m1 for b in m2)
-    return make_hyperideal(ring, members)
-
-
 def quotient(ring, ideal):
     """Quotient by a proper hyperideal via the class map r -> f(r, Q, 0^(m-2)).
 
@@ -116,7 +110,7 @@ def quotient(ring, ideal):
 @memoised("quotient")
 def _quotient(ring, q_members):
     if len(q_members) >= ring.size:
-        raise ValueError("quotient needs a proper hyperideal")
+        raise ImproperIdealError("quotient needs a proper hyperideal")
     m, n = ring.m, ring.n
     zero_pad = [frozenset({ring.zero})] * (m - 2)
     cls_of = {}

@@ -67,6 +67,8 @@ def parse_document(text, validate=True):
             raise DocumentError(f"unknown field {field!r}")
 
     name = doc["name"]
+    if not isinstance(name, str):
+        raise DocumentError("name must be a string")
     m, n = doc["m"], doc["n"]
     if any(isinstance(v, bool) or not isinstance(v, int) or v < 2
            for v in (m, n)):
@@ -83,6 +85,8 @@ def parse_document(text, validate=True):
     index = {e: i for i, e in enumerate(elements)}
 
     def look(label, where):
+        if not isinstance(label, str):
+            raise DocumentError(f"label {label!r} in {where} is not a string")
         if label not in index:
             raise DocumentError(f"unknown label {label!r} in {where}")
         return index[label]

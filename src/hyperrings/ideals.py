@@ -26,7 +26,8 @@ The hyperideals of a product of passing tables are the I1 x I2 of theirs
 (FINDINGS.md (v)), and those of a quotient R/Q of a passing table are
 the images p[I] of the hyperideals I ⊇ Q of R (FINDINGS.md (vi)).  So
 the lattice of such a product or quotient is built from its factors' or
-its parent's lattice on first read, in the closure search's order.  The
+its parent's lattice on first read, in the closure search's order; a
+product's are the very objects `factor_ideals` lists with their factors.  The
 power radical reads all powers of an element off one chain of g lookups.
 """
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .core import ArityError, g_product, memoised
 
 
 class ImproperIdealError(ValueError):
-    """Raised when a predicate that needs a proper hyperideal gets R itself."""
+    """Raised when a predicate or a quotient that needs a proper
+    hyperideal gets R itself."""
 
 
 @dataclass(frozen=True)
@@ -196,8 +198,12 @@ def _is_closed(ring, members):
     return ideal_closure(ring, members) == members
 
 
+def _canonical_key(members):
+    return len(members), tuple(sorted(members))
+
+
 def _canonical_order(sets):
-    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+    return sorted(sets, key=_canonical_key)
 
 
 def closed_sets(ring, closure, limit=math.inf):
@@ -230,7 +236,7 @@ def closed_sets(ring, closure, limit=math.inf):
 @memoised("hyperideals")
 def enumerate_hyperideals(ring):
     """All hyperideals, R included: the closed sets of ideal_closure, or,
-    on a product of passing factors, the I1 x I2 of their lattices, or,
+    on a product of passing factors, the I1 x I2 of `factor_ideals`, or,
     on a quotient R/Q of a passing table, the p[I] of its I ⊇ Q.
 
     Verified against the 2^|R| brute-force filter for small carriers, and
@@ -239,8 +245,9 @@ def enumerate_hyperideals(ring):
     """
     memo = ring.memo
     if "factors" in memo:
-        sets = _product_lattice(*memo["factors"])
-    elif "parent" in memo:
+        return sorted((p for _, _, p in factor_ideals(ring)),
+                      key=lambda p: _canonical_key(p.members))
+    if "parent" in memo:
         sets = _quotient_lattice(*memo["parent"])
     else:
         sets = closed_sets(ring, ideal_closure)
@@ -252,12 +259,16 @@ def product_pack(r2, i, j):
     return i * r2.size + j
 
 
-def _product_lattice(r1, r2):
-    """Every I1 x I2, in canonical order: the hyperideals of the product
-    of two passing tables (FINDINGS.md (v))."""
-    return _canonical_order(
-        frozenset(product_pack(r2, a, b) for a in p1.members for b in p2.members)
-        for p1 in enumerate_hyperideals(r1) for p2 in enumerate_hyperideals(r2))
+@memoised("factor_ideals")
+def factor_ideals(ring):
+    """(I1, I2, I1 x I2) for every pair of hyperideals of the factors of a
+    certified product, I1 outer and I2 inner, each in its factor's
+    lattice order: the I1 x I2 are the product's hyperideals
+    (FINDINGS.md (v)), so none is closed here."""
+    r1, r2 = ring.memo["factors"]
+    return [(p1, p2, Hyperideal(ring, frozenset(
+                product_pack(r2, a, b) for a in p1.members for b in p2.members)))
+            for p1 in enumerate_hyperideals(r1) for p2 in enumerate_hyperideals(r2)]
 
 
 def _quotient_lattice(parent, q_members, proj):

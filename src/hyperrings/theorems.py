@@ -2,7 +2,8 @@
 
 Each registered checker quantifies a theorem's hypothesis over everything
 available in the given structures (hyperideals, elements, bounded families,
-products built on demand, quotient projections, subhyperrings).  A checker
+products of two or three structures, quotient projections,
+subhyperrings), each structure counted once.  A checker
 is a generator: for every instance that satisfies the hypothesis it yields
 `(ring, failures)`, where failures lists the violations of the conclusion
 as detail strings, empty when the conclusion holds, and is rendered only
@@ -11,7 +12,12 @@ on failure (`_unless`).  One driver, `_run`, turns the yields into a
 ring's name.  A report is vacuous when nothing satisfied the hypothesis;
 vacuity is reported, never hidden.
 
-Desk-scale bounds: on-demand products are capped at 36 elements (triples at
+The five product checkers (Thm 2.3, Cor 2.4, Thm 3.9, Thm 4.15, Cor
+4.16) read one pool, `_Harness.product_ideals`: each product hyperideal
+with its factor hyperideals, straight from the product's memoised
+`factor_ideals`, I1 outer and I2 inner, so none is split or closed again.
+
+Desk-scale bounds: products are capped at 36 elements (triples at
 27), quotient-based monomorphisms at source size 8, and subhyperring
 instances at 12 elements, mirroring the size of the built-in corpus.  The
 subhyperring bound limits the lattice search too: no set above it is
@@ -23,6 +29,7 @@ never a verdict or a report.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
@@ -33,11 +40,11 @@ from .classify import (_IMPLICATIONS, _outcome, _record_entries, _squares,
                        is_weakly_prime, is_weakly_primary, is_wsq_primary)
 
 from .construct import (Homomorphism, _subring_closure, direct_product,
-                        image_ideal, preimage_ideal, product_ideal,
-                        product_pack, quotient, subhyperring_table)
+                        image_ideal, preimage_ideal, quotient,
+                        subhyperring_table)
 from .core import g_product, memoised
-from .ideals import (closed_sets, enumerate_hyperideals, hyperideal_product,
-                     generated_by, make_hyperideal, mask_of,
+from .ideals import (closed_sets, enumerate_hyperideals, factor_ideals,
+                     generated_by, hyperideal_product, make_hyperideal, mask_of,
                      proper_hyperideals, quotient_sets, radical_by_primes,
                      radical_by_powers)
 
@@ -75,14 +82,14 @@ class StructureRejectedError(ValueError):
 
 
 def _admit(structures):
-    out = []
-    for ring in structures:
+    """The structures, each table once (tables hash by identity)."""
+    out = list(dict.fromkeys(structures))
+    for ring in out:
         if not ring.validation.passed and not ring.validation_waived:
             raise StructureRejectedError(
                 f"{ring.name} fails axiom validation "
                 f"({len(ring.validation.violations)} violations); theorems "
                 f"run only on validated structures or waived corpus fixtures")
-        out.append(ring)
     return out
 
 
@@ -93,37 +100,34 @@ class _Harness:
 
     # -- shared pools, built on first use ---------------------------------
 
-    def _product_worthy(self):
-        # theorem hypotheses presuppose a nonzero scalar identity and the
-        # full axiom set, so the trivial structure and known-deviant corpus
-        # members stay out of the product construction pool
-        return [r for r in self.structures
-                if r.size > 1 and r.validation.passed]
-
     @cached_property
     def ideals(self):
         """(ring, P) for every proper hyperideal P of every structure."""
         return [(ring, p) for ring in self.structures
                 for p in proper_hyperideals(ring)]
 
-    @cached_property
-    def pairs(self):
-        """Unordered factor pairs with an on-demand product structure."""
-        out = []
-        seen = set()
-        pool = self._product_worthy()
-        for i, r1 in enumerate(pool):
-            for r2 in pool[i:]:
-                if (r1.m, r1.n) != (r2.m, r2.n):
-                    continue
-                if r1.size * r2.size > MAX_PAIR_PRODUCT:
-                    continue
-                key = (id(r1), id(r2))
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append((r1, r2, direct_product(r1, r2)))
-        return out
+    def product_ideals(self, t):
+        """(product, factor hyperideals, product hyperideal) for the
+        products of t = 2 or 3 structures of one arity within the cap,
+        factors taken with repetition in structure order, and every
+        product hyperideal with a proper factor, I1 outer and I2 inner."""
+        # theorem hypotheses presuppose a nonzero scalar identity and the
+        # full axiom set, so the trivial structure and known-deviant corpus
+        # members stay out of the product construction pool
+        pool = [r for r in self.structures if r.size > 1 and r.validation.passed]
+        cap = MAX_PAIR_PRODUCT if t == 2 else MAX_TRIPLE_PRODUCT
+        for combo in itertools.combinations_with_replacement(pool, t):
+            if (len({(r.m, r.n) for r in combo}) != 1
+                    or math.prod(r.size for r in combo) > cap):
+                continue
+            # a triple is (R1 x R2) x R3: each I12 is read back as I1, I2
+            split = {} if t == 2 else {
+                p: (p1, p2) for p1, p2, p in factor_ideals(direct_product(*combo[:2]))}
+            rp = reduce(direct_product, combo)
+            for p1, p2, p in factor_ideals(rp):
+                factors = (*split[p1], p2) if split else (p1, p2)
+                if any(f.proper for f in factors):
+                    yield rp, factors, p
 
     def quotient_ideals(self):
         """(ring, Q, quotient table, projection, P) for every pair of
@@ -151,52 +155,27 @@ def _intersection(family):
 
 # -- section 2: q-primary and absorbing q-primary ---------------------------
 
+def _one_proper(factors, predicate):
+    """Whether exactly one factor hyperideal is proper, and it satisfies
+    the predicate."""
+    propers = [p for p in factors if p.proper]
+    return len(propers) == 1 and predicate(propers[0])
+
+
 def _check_2_3(h):
-    for r1, r2, rp in h.pairs:
-        for p in proper_hyperideals(rp):
-            lhs = is_q_primary(p)
-            split = _split(r2, p.members)
-            rhs = split is not None and _one_proper_q_primary(zip((r1, r2), split))
-            yield rp, _unless(lhs == rhs, lambda: (
-                f"ideal {p.render()}: q_primary={lhs} but product form={rhs}"))
-
-
-def _split(r2, members):
-    """Factor a member set of a product whose second factor is r2; None
-    when it is not a product set."""
-    m1 = frozenset(e // r2.size for e in members)
-    m2 = frozenset(e % r2.size for e in members)
-    if len(m1) * len(m2) != len(members):
-        return None
-    if any(product_pack(r2, a, b) not in members for a in m1 for b in m2):
-        return None
-    return m1, m2
-
-
-def _one_proper_q_primary(parts):
-    """Whether exactly one (factor, member set) part is proper, and that
-    part is a q-primary hyperideal of its factor."""
-    propers = [(r, m) for r, m in parts if len(m) < r.size]
-    return len(propers) == 1 and is_q_primary(make_hyperideal(*propers[0]))
+    for rp, factors, p in h.product_ideals(2):
+        lhs = is_q_primary(p)
+        rhs = _one_proper(factors, is_q_primary)
+        yield rp, _unless(lhs == rhs, lambda: (
+            f"ideal {p.render()}: q_primary={lhs} but product form={rhs}"))
 
 
 def _check_2_4(h):
-    for combo in itertools.combinations_with_replacement(h._product_worthy(), 3):
-        r1, r2, r3 = combo
-        if len({(r.m, r.n) for r in combo}) != 1:
-            continue
-        if r1.size * r2.size * r3.size > MAX_TRIPLE_PRODUCT:
-            continue
-        r12 = direct_product(r1, r2)
-        rp = direct_product(r12, r3)
-        for p in proper_hyperideals(rp):
-            lhs = is_q_primary(p)
-            split = _split(r3, p.members)
-            split12 = split and _split(r2, split[0])
-            rhs = split12 is not None and _one_proper_q_primary(
-                zip(combo, (*split12, split[1])))
-            yield rp, _unless(lhs == rhs, lambda: (
-                f"ideal {p.render()}: q_primary={lhs} but t-fold form={rhs}"))
+    for rp, factors, p in h.product_ideals(3):
+        lhs = is_q_primary(p)
+        rhs = _one_proper(factors, is_q_primary)
+        yield rp, _unless(lhs == rhs, lambda: (
+            f"ideal {p.render()}: q_primary={lhs} but t-fold form={rhs}"))
 
 
 def _check_2_6(h):
@@ -357,18 +336,12 @@ def _check_3_9(h):
     # sq-primary and the other is full.  It is refuted at n = 3: on the
     # squares of G^(2,3) and G^(3,3), {0,4} x {0,4} and eight more products
     # of proper factors are sq-primary (ROADMAP.md open item 1(b), open)
-    for r1, r2, rp in h.pairs:
-        for p1 in enumerate_hyperideals(r1):
-            for p2 in enumerate_hyperideals(r2):
-                if not p1.proper and not p2.proper:
-                    continue
-                pid = product_ideal(rp, r1, r2, p1.members, p2.members)
-                lhs = is_sq_primary(pid)
-                rhs = ((not p2.proper and p1.proper and is_sq_primary(p1))
-                       or (not p1.proper and p2.proper and is_sq_primary(p2)))
-                yield rp, _unless(lhs == rhs, lambda: (
-                    f"{p1.render()} x {p2.render()}: sq={lhs} but "
-                    f"factor form={rhs}"))
+    for rp, (p1, p2), pid in h.product_ideals(2):
+        lhs = is_sq_primary(pid)
+        rhs = _one_proper((p1, p2), is_sq_primary)
+        yield rp, _unless(lhs == rhs, lambda: (
+            f"{p1.render()} x {p2.render()}: sq={lhs} but "
+            f"factor form={rhs}"))
 
 
 # -- section 4: wsq-primary ---------------------------------------------------
@@ -545,40 +518,33 @@ def _check_4_13(h):
 
 
 def _check_4_15(h):
-    for r1, r2, rp in h.pairs:
-        for ring_a, ring_b, flip in ((r1, r2, False), (r2, r1, True)):
-            if flip and ring_a is ring_b:
-                continue
-            for p1 in proper_hyperideals(ring_a):
-                if flip:
-                    pid = product_ideal(rp, r1, r2, r1.full_set, p1.members)
-                else:
-                    pid = product_ideal(rp, r1, r2, p1.members, r2.full_set)
-                wsq = is_wsq_primary(pid)
-                sq = is_sq_primary(pid)
-                factor_sq = is_sq_primary(p1)
-                yield rp, _unless(wsq == sq == factor_sq, lambda: (
-                    f"{p1.render()} x full: wsq={wsq} sq={sq} "
-                    f"factor sq={factor_sq}"))
+    # one factor proper, the other full: P1 x R2, then R1 x P2, but only
+    # the first orientation on a square
+    for rp, (p1, p2), pid in h.product_ideals(2):
+        if p1.proper == p2.proper or (p2.proper and p1.ring is p2.ring):
+            continue
+        proper = p1 if p1.proper else p2
+        wsq = is_wsq_primary(pid)
+        sq = is_sq_primary(pid)
+        factor_sq = is_sq_primary(proper)
+        yield rp, _unless(wsq == sq == factor_sq, lambda: (
+            f"{proper.render()} x full: wsq={wsq} sq={sq} "
+            f"factor sq={factor_sq}"))
 
 
 def _check_4_16(h):
-    for r1, r2, rp in h.pairs:
-        zero_pair = frozenset({rp.zero})
-        for p1 in proper_hyperideals(r1):
-            for p2 in proper_hyperideals(r2):
-                pid = product_ideal(rp, r1, r2, p1.members, p2.members)
-                if pid.members == zero_pair:
-                    continue
-                wsq = is_wsq_primary(pid)
-                sq = is_sq_primary(pid)
-                # the paper's claim: with both factors proper the product
-                # is neither wsq- nor sq-primary.  It is refuted at n = 3:
-                # on G^(2,3), {0,4} x {0,3,6} is sq-primary (ROADMAP.md
-                # open item 1, the n >= 3 sq/wsq findings)
-                yield rp, _unless(not (wsq or sq), lambda: (
-                    f"{p1.render()} x {p2.render()} != <0> with both "
-                    f"factors proper but wsq={wsq} sq={sq}"))
+    for rp, (p1, p2), pid in h.product_ideals(2):
+        if not (p1.proper and p2.proper) or pid.members == {rp.zero}:
+            continue
+        wsq = is_wsq_primary(pid)
+        sq = is_sq_primary(pid)
+        # the paper's claim: with both factors proper the product
+        # is neither wsq- nor sq-primary.  It is refuted at n = 3:
+        # on G^(2,3), {0,4} x {0,3,6} is sq-primary (ROADMAP.md
+        # open item 1, the n >= 3 sq/wsq findings)
+        yield rp, _unless(not (wsq or sq), lambda: (
+            f"{p1.render()} x {p2.render()} != <0> with both "
+            f"factors proper but wsq={wsq} sq={sq}"))
 
 
 _REGISTRY = [

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,17 @@ class TestValidate:
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent.json")
         assert code == 2
+
+    def test_a_label_that_is_not_a_string_is_a_usage_error(self, tmp_path,
+                                                           capsys):
+        doc = json.loads(document_text("g.json"))
+        doc["zero"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: label [] in zero is not a string\n"
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -122,9 +134,11 @@ class TestClassify:
         assert "sq_primary=true" in out
 
     def test_unknown_label(self, docs, capsys):
-        code, _, err = run(capsys, "classify", str(docs / "g.json"),
-                           "--ideal", "0,9")
+        code, out, err = run(capsys, "classify", str(docs / "g.json"),
+                             "--ideal", "0,9")
         assert code == 2
+        assert out == ""
+        assert err == "error: unknown element label '9' in G\n"
 
     def test_improper_ideal(self, docs, capsys):
         code, _, err = run(capsys, "classify", str(docs / "g.json"),
@@ -174,6 +188,16 @@ class TestProductAndQuotient:
                            "--ideal", "0,2", "-o", str(tmp_path / "x.json"))
         assert code == 1
         assert "not a hyperideal" in err
+
+    def test_quotient_by_the_whole_ring_is_a_usage_error(self, docs, tmp_path,
+                                                         capsys):
+        target = tmp_path / "x.json"
+        code, out, err = run(capsys, "quotient", str(docs / "g.json"),
+                             "--ideal", "0,1,2,3,4,6", "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == "error: quotient needs a proper hyperideal\n"
+        assert not target.exists()
 
     def test_product_arity_mismatch(self, docs, tmp_path, capsys):
         code, _, err = run(capsys, "product", str(docs / "g.json"),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -36,6 +37,30 @@ class TestParse:
         doc = json.loads(document_text("g.json"))
         doc["zero"] = "9"
         with pytest.raises(DocumentError, match="unknown label"):
+            parse_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, value", [("zero", []), ("one", []),
+                                              ("zero", 0), ("one", None)])
+    def test_a_label_that_is_not_a_string(self, field, value):
+        doc = json.loads(document_text("g.json"))
+        doc[field] = value
+        message = f"label {value!r} in {field} is not a string"
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            parse_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("entry", [["0"], 0, None])
+    def test_an_f_value_entry_that_is_not_a_string(self, entry):
+        doc = json.loads(document_text("g.json"))
+        doc["f"]["0,0"] = ["0", entry]
+        with pytest.raises(DocumentError,
+                           match="f value for '0,0' is not a string"):
+            parse_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", [5, None, ["G"]])
+    def test_name_must_be_a_string(self, name):
+        doc = json.loads(document_text("g.json"))
+        doc["name"] = name
+        with pytest.raises(DocumentError, match="name must be a string"):
             parse_document(json.dumps(doc))
 
     def test_duplicate_keys_rejected(self):

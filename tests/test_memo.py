@@ -20,7 +20,7 @@ from hyperrings.corpus import builtin_corpus, document_text
 from hyperrings.documents import parse_document
 from hyperrings.ideals import (ImproperIdealError, _g_row, _is_closed,
                                absorption_index, enumerate_hyperideals,
-                               generated_by, hyperideal_product,
+                               factor_ideals, generated_by, hyperideal_product,
                                ideal_from_labels, make_hyperideal,
                                prime_hyperideals, radical_by_powers,
                                radical_by_primes, row_masks, value_rows)
@@ -44,7 +44,7 @@ def fresh_g():
 TAGS = {"product", "quotient", "hyperideals", "subhyperrings", "subring_pool",
         "radical_by_primes", "radical_by_powers", "classify", "absorption",
         "value_rows", "rows", "prime_hyperideals", "outcome", "generated",
-        "g_row", "closed", "ideal_tuples", "ideal_product"}
+        "g_row", "closed", "ideal_tuples", "ideal_product", "factor_ideals"}
 
 
 class TestMemoIdentity:
@@ -74,19 +74,23 @@ class TestMemoIdentity:
             "_is_closed": lambda: _is_closed(G, p.members),
             "_ideal_tuples": lambda: _ideal_tuples(G),
             "hyperideal_product": lambda: hyperideal_product(G, [p, p]),
+            "factor_ideals": lambda: factor_ideals(direct_product(G, G)),
         }
         for name, call in calls.items():
             assert call() is call(), name
         # a bool is the same object either way: the entry shows the hit
         assert memo_entries(G)[("closed", (p.members,))] is True
-        # G is certified by nothing, so every key of its memo is a tag
-        assert set(G.memo) == TAGS
+        # G is certified by nothing, so every key of its memo is a tag;
+        # factor_ideals reads a product's certificate and keeps its list
+        # in the product's memo
+        assert set(G.memo) == TAGS - {"factor_ideals"}
         assert not set(G.memo) & {"factors", "parent"}
         # and the certificates survive memoised calls on their tables
         product, (table, _) = direct_product(G, G), quotient(G, p)
         enumerate_hyperideals(product)
         enumerate_hyperideals(table)
         assert product.memo["factors"] == (G, G)
+        assert set(product.memo) == {"factors", "factor_ideals", "hyperideals"}
         assert table.memo["parent"][0] is G
 
     def test_equal_arguments_share_an_entry(self):

@@ -8,16 +8,22 @@ passing factors derives its hyperideal lattice from theirs (FINDINGS.md
 the products of the built-in structures, of the folds of G and of small
 krasner-corpus tables, which `perfbench/gen.py` generates and this module
 only reads.  A product with a failing factor (H, or a corrupted table)
-must take the closure search.
+must take the closure search.  The product theorems read the pairs of
+factor hyperideals that `factor_ideals` lists without closing them; the
+tests close each one.
 """
 import itertools
+import math
 
 import pytest
 
 from hyperrings.construct import direct_product
 from hyperrings.corpus import document_text
 from hyperrings.documents import parse_document
-from hyperrings.ideals import closed_sets, enumerate_hyperideals, ideal_closure
+from hyperrings.ideals import (_canonical_order, closed_sets,
+                               enumerate_hyperideals, factor_ideals,
+                               ideal_closure)
+from hyperrings.theorems import _Harness, run_theorem
 
 from conftest import load_gen, memo_entries, mutate
 
@@ -157,3 +163,50 @@ def test_a_product_lattice_is_derived_on_first_read():
     assert ("hyperideals", ()) not in memo_entries(G)
     assert len(lattice(p)) == len(lattice(G)) ** 2
     assert ("hyperideals", ()) in memo_entries(G)
+
+
+# -- the pool of the product theorems -------------------------------------
+
+@pytest.fixture(scope="module")
+def pool_scopes(corpus, folds):
+    """The built-in corpus, and each fold of G on its own."""
+    return [corpus] + [[ring] for ring in folds]
+
+
+def pool(structures):
+    """Every (product, factor hyperideals, product hyperideal) that the
+    product theorems read, pairs then triples."""
+    h = _Harness(structures)
+    return [row for t in (2, 3) for row in h.product_ideals(t)]
+
+
+def test_the_pool_yields_closed_product_sets(pool_scopes):
+    # the corpus has triples within the cap; a fold's cube does not
+    assert any(len(factors) == 3 for _, factors, _ in pool(pool_scopes[0]))
+    for scope in pool_scopes:
+        rows = pool(scope)
+        assert rows
+        for rp, factors, p in rows:
+            assert ideal_closure(rp, p.members) == p.members, p.render()
+            assert len(p.members) == math.prod(len(f.members) for f in factors)
+            assert any(f.proper for f in factors)
+
+
+def test_a_product_lattice_is_its_factor_ideals_in_order(pool_scopes):
+    for scope in pool_scopes:
+        products = dict.fromkeys(rp for rp, _, _ in pool(scope))
+        assert products
+        for rp in products:
+            listed = {p.members: p for _, _, p in factor_ideals(rp)}
+            ideals = enumerate_hyperideals(rp)
+            assert len(ideals) == len(listed), rp.name
+            for p, members in zip(ideals, _canonical_order(listed)):
+                assert p is listed[members], rp.name
+
+
+def test_thm_2_3_and_thm_3_9_count_the_same_instances(pool_scopes):
+    # both quantify over every product hyperideal with a proper factor
+    for scope in pool_scopes:
+        count = run_theorem("Thm 2.3", scope).instances
+        assert count
+        assert run_theorem("Thm 3.9", scope).instances == count

@@ -126,6 +126,18 @@ class TestRunAll:
         for tid in THEOREM_IDS:
             assert run_theorem(tid, corpus).render() == blocks[tid], tid
 
+    def test_a_structure_passed_twice_counts_once(self, G_mod_06, G_mod_0246):
+        q, r = G_mod_0246, G_mod_06
+        for structures, once in (([q, q], [q]), ([q, r, q, r, r], [q, r])):
+            assert ([report.render() for report in run_all(structures)]
+                    == [report.render() for report in run_all(once)])
+            for tid in ("Thm 2.3", "Cor 2.4", "Thm 3.3"):
+                twice = run_theorem(tid, structures)
+                single = run_theorem(tid, once)
+                assert twice.instances == single.instances, tid
+                assert twice.scope == single.scope
+                assert single.instances
+
     def test_corrupted_structure_refused(self, G):
         two, three = G.index("2"), G.index("3")
         bad = mutate(G, "G-mut", g_overrides={(two, three): G.index("1"),
