@@ -7,6 +7,7 @@ each other disagreed), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .classify import InternalInconsistencyError, classify
@@ -144,9 +145,13 @@ def _cmd_quotient(args):
 
 def _cmd_theorems(args):
     k_max = _kmax(args)
-    # run_all refuses a failing structure itself
+    # run_all refuses a failing structure itself; a file named twice, by
+    # any path, is one structure
     if args.files:
-        structures = [_load(p, skip_validation=True) for p in args.files]
+        paths = {}
+        for path in args.files:
+            paths.setdefault(os.path.realpath(path), path)
+        structures = [_load(p, skip_validation=True) for p in paths.values()]
     else:
         structures = builtin_corpus()
     try:

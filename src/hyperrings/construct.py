@@ -7,16 +7,17 @@ off one representative per class; on any other table or subset that is an
 explicit, exhaustively checked assertion instead of an assumption.
 A built table is validated when its `validation` is first read, except that
 products and quotients of passing tables are certified (FINDINGS.md).  A
-product's tables are built in one pass over its factors' entries.  A
-certified product records its factors, and a certified quotient its
-parent, hyperideal and projection; the hyperideal lattice is derived from
-them.
+product's tables are built with one dict update per tuple of the first
+factor, its keys and values drawn from `itertools.product` and `map` over
+the second factor's entries, with no Python step per entry.  A certified
+product records its factors, and a certified quotient its parent,
+hyperideal and projection; the hyperideal lattice and the prime
+hyperideals are derived from them.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import getitem
 
 from .core import (ArityError, HyperringTable, ValidationReport, Violation,
                    f_extend, memoised)
@@ -74,13 +75,16 @@ def direct_product(r1, r2):
             for u in set(r1.f.values())}
 
     def combine(arity, table1, table2, value):
-        # keys in product order of r1's tuples, then of r2's; (t1, t2)
-        # packs to the tuple of pair[t1[i]][t2[i]]
-        outer = [([pair[a] for a in t1], table1[t1])
-                 for t1 in itertools.product(r1.carrier, repeat=arity)]
-        inner = [(t2, table2[t2]) for t2 in itertools.product(r2.carrier, repeat=arity)]
-        return {tuple(map(getitem, rows, t2)): value[v1][v2]
-                for rows, v1 in outer for t2, v2 in inner}
+        # keys in product order of r1's tuples, then of r2's: for a fixed
+        # t1, (t1, t2) packs to the tuple of pair[t1[i]][t2[i]], and these
+        # tuples in t2's product order are the product of the rows pair[a]
+        inner = list(map(table2.__getitem__,
+                         itertools.product(r2.carrier, repeat=arity)))
+        out = {}
+        for t1 in itertools.product(r1.carrier, repeat=arity):
+            out.update(zip(itertools.product(*map(pair.__getitem__, t1)),
+                           map(value[table1[t1]].__getitem__, inner)))
+        return out
 
     ring = HyperringTable(
         name=f"{r1.name}x{r2.name}", m=m, n=n, labels=labels,

@@ -27,7 +27,8 @@ The hyperideals of a product of passing tables are the I1 x I2 of theirs
 the images p[I] of the hyperideals I ⊇ Q of R (FINDINGS.md (vi)).  So
 the lattice of such a product or quotient is built from its factors' or
 its parent's lattice on first read, in the closure search's order; a
-product's are the very objects `factor_ideals` lists with their factors.  The
+product's are the very objects `factor_ideals` lists with their factors.
+Their primes come from the same certificates (FINDINGS.md (x)).  The
 power radical reads all powers of an element off one chain of g lookups.
 """
 from __future__ import annotations
@@ -338,9 +339,28 @@ def tuple_scan(ring, members, rest, rad=frozenset(), weak=False):
 
 @memoised("prime_hyperideals")
 def prime_hyperideals(ring):
-    return [p for p in enumerate_hyperideals(ring)
-            if p.proper
-            and tuple_scan(ring, p.members, complement(ring, p.members))[0]]
+    """The proper hyperideals P with no n-tuple outside P whose g-value
+    lies in P, in lattice order.  On a product of passing factors they
+    are the P1 x R2 and R1 x P2 with P1, P2 prime, and on a quotient R/Q
+    of a passing table the p[P] of R's primes P ⊇ Q (FINDINGS.md (x)):
+    these are read off the lattice, with no tuple scanned."""
+    memo = ring.memo
+    if "factors" in memo:
+        r1, r2 = memo["factors"]
+        primes1 = {p.members for p in prime_hyperideals(r1)}
+        primes2 = {p.members for p in prime_hyperideals(r2)}
+        keep = {p.members for p1, p2, p in factor_ideals(ring)
+                if p1.members in primes1 and not p2.proper
+                or not p1.proper and p2.members in primes2}
+    elif "parent" in memo:
+        parent, q_members, proj = memo["parent"]
+        keep = {frozenset(map(proj.__getitem__, p.members))
+                for p in prime_hyperideals(parent) if q_members <= p.members}
+    else:
+        return [p for p in enumerate_hyperideals(ring)
+                if p.proper
+                and tuple_scan(ring, p.members, complement(ring, p.members))[0]]
+    return [p for p in enumerate_hyperideals(ring) if p.members in keep]
 
 
 def _members_of(ideal_or_set):

@@ -270,7 +270,10 @@ def _ideal_tuples(ring):
     (family, the mask of its g-product, for each position i the mask of
     the i-th ideal's squares, and for each i the mask of the product with
     the i-th ideal dropped, the identity in its place).  A drop mask is
-    built once for its position and remaining ideals."""
+    built once for its position and remaining ideals; on a certified
+    product every mask is packed from the factors'."""
+    if "factors" in ring.memo:
+        return _product_ideal_tuples(ring)
     ideals = enumerate_hyperideals(ring)
     members = [sorted(p.members) for p in ideals]
     squares = _squares(ring)
@@ -288,6 +291,35 @@ def _ideal_tuples(ring):
              tuple(square_masks[j] for j in idx),
              tuple(drops[i, idx[:i] + idx[i + 1:]] for i in range(n)))
             for idx in itertools.product(range(len(ideals)), repeat=n)]
+
+
+def _product_ideal_tuples(ring):
+    """`_ideal_tuples` of a certified product: g, the squares and the
+    identity are componentwise, so each set is the S1 x S2 of the
+    factors' sets, and in `product_pack`'s layout its mask holds a copy of
+    S2's mask in the |R2|-bit block of each a in S1."""
+    r1, r2 = ring.memo["factors"]
+    width = r2.size
+    rows = [{tuple(p.members for p in row[0]): row[1:] for row in _ideal_tuples(r)}
+            for r in (r1, r2)]
+    parts = {p.members: (p1.members, p2.members) for p1, p2, p in factor_ideals(ring)}
+    ideals = enumerate_hyperideals(ring)
+    first, second = zip(*(parts[p.members] for p in ideals))
+    blocks = {}
+
+    def pack(mask1, mask2):
+        if mask1 not in blocks:
+            blocks[mask1] = sum(1 << a * width for a in range(r1.size) if mask1 >> a & 1)
+        return blocks[mask1] * mask2
+
+    out = []
+    for idx in itertools.product(range(len(ideals)), repeat=ring.n):
+        prod1, squares1, drops1 = rows[0][tuple(map(first.__getitem__, idx))]
+        prod2, squares2, drops2 = rows[1][tuple(map(second.__getitem__, idx))]
+        out.append((tuple(ideals[j] for j in idx), pack(prod1, prod2),
+                    tuple(map(pack, squares1, squares2)),
+                    tuple(map(pack, drops1, drops2))))
+    return out
 
 
 def _check_3_7(h):

@@ -240,6 +240,26 @@ class TestTheorems:
         assert "Thm 3.3: pass" in out
         assert "fail: 0" in out
 
+    def test_a_file_named_twice_is_one_structure(self, tmp_path, capsys):
+        # with G/{0,2,4,6} twice the product theorems would pair the copies:
+        # Thm 2.3 would count 9 instances against 3, Cor 2.4 28 against 7
+        doc = tmp_path / "q.json"
+        doc.write_text(document_text("g_mod_0246.json"))
+        (tmp_path / "sub").mkdir()
+        once = run(capsys, "theorems", str(doc))
+        assert "Thm 2.3: pass (3 instances)" in once[1]
+        assert run(capsys, "theorems", str(doc), str(doc)) == once
+        assert run(capsys, "theorems", str(doc),
+                   str(tmp_path / "sub" / ".." / "q.json")) == once
+
+    def test_copies_under_other_names_stay_separate(self, tmp_path, capsys):
+        text = document_text("g_mod_0246.json")
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text(text)
+        _, out, _ = run(capsys, "theorems", str(tmp_path / "a.json"),
+                        str(tmp_path / "b.json"))
+        assert "Thm 2.3: pass (9 instances)" in out
+
     def test_builtin_corpus_golden(self, capsys):
         code, out, _ = run(capsys, "theorems")
         assert code == 0
