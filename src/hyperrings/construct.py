@@ -5,6 +5,9 @@ representatives.  On a passing table and a hyperideal the induced
 operations are well defined by theorem (FINDINGS.md (viii)) and are read
 off one representative per class; on any other table or subset that is an
 explicit, exhaustively checked assertion instead of an assumption.
+The one-representative fill projects only the f-values that the tuples of
+class minima read, and builds each induced table with one `dict(zip(...))`
+over `map`, with no Python step per entry.
 A built table is validated when its `validation` is first read, except that
 products and quotients of passing tables are certified (FINDINGS.md).  A
 product's tables are built with one dict update per tuple of the first
@@ -17,6 +20,7 @@ hyperideals are derived from them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .core import (ArityError, HyperringTable, ValidationReport, Violation,
@@ -68,7 +72,14 @@ def direct_product(r1, r2):
     if (r1.m, r1.n) != (r2.m, r2.n):
         raise ArityError(f"arity mismatch: ({r1.m},{r1.n}) vs ({r2.m},{r2.n})")
     m, n = r1.m, r1.n
-    labels = [f"{a}_{b}" for a in r1.labels for b in r2.labels]
+    owner = {}
+    for pair in itertools.product(r1.labels, r2.labels):
+        label = "_".join(pair)
+        if owner.setdefault(label, pair) is not pair:
+            raise ValueError(
+                f"elements ({','.join(owner[label])}) and ({','.join(pair)}) "
+                f"of {r1.name}x{r2.name} both get the label {label!r}")
+    labels = list(owner)
     pair = [[product_pack(r2, a, b) for b in r2.carrier] for a in r1.carrier]
     sums = {u: {v: frozenset(pair[a][b] for a in u for b in v)
                 for v in set(r2.f.values())}
@@ -147,17 +158,20 @@ def _quotient(ring, q_members):
                 f"classes {ring.subset_label(first[label])} and {ring.subset_label(c)} "
                 f"of {ring.name}/{ring.subset_label(q_members)} both get the label {label!r}")
 
-    image = {v: frozenset(proj[t] for t in v) for v in set(ring.f.values())}
     # on a passing table and a hyperideal Q, every choice of representatives
-    # gives the same value (FINDINGS.md (viii)): read the class minima
+    # gives the same value (FINDINGS.md (viii)): read the class minima, and
+    # project only the f-values read there
     certified = _is_closed(ring, q_members) and ring.validation.passed
     minima = [min(c) for c in classes]
+    read = (map(ring.f.__getitem__, itertools.product(minima, repeat=m))
+            if certified else ring.f.values())
+    image = {v: frozenset(map(proj.__getitem__, v)) for v in set(read)}
     induced = {}
     for name, table, arity, project in (("f", ring.f, m, image), ("g", ring.g, n, proj)):
         keys = itertools.product(range(len(classes)), repeat=arity)
         if certified:
-            induced[name] = {key: project[table[reps]] for key, reps in
-                             zip(keys, itertools.product(minima, repeat=arity))}
+            induced[name] = dict(zip(keys, map(project.__getitem__, map(
+                table.__getitem__, itertools.product(minima, repeat=arity)))))
             continue
         induced[name] = {}
         for key in keys:
@@ -244,8 +258,8 @@ def is_subhyperring(ring, members):
             and all(ring.g[t] in members for t in itertools.product(order, repeat=ring.n)))
 
 
-def _subring_closure(ring, seed, base=frozenset()):
-    return worklist_closure(ring, seed, False, base)
+def _subring_closure(ring, seed, base=frozenset(), limit=math.inf):
+    return worklist_closure(ring, seed, False, base, limit)
 
 
 @memoised("subhyperrings")

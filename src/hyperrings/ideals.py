@@ -11,11 +11,14 @@ Closures are worklists: each round handles only the elements new in that
 round, so every f- or g-tuple is evaluated once per closure, and a join
 of two closed sets starts from the larger.  The lattice search joins only
 the pairs with a set new in the round before, and under a size bound it
-closes no set above the bound.  Per-table indexes of g
+passes the bound to each closure, which stops once it is above it, and
+keeps no set above the bound.  Per-table indexes of g
 give for each element the g-values of every n-tuple containing it (for
 absorption), and the value rows that row masks are unions of.  A subset
 is a hyperideal exactly when its closure adds nothing, and that is how
-`make_hyperideal` and `generated_by` decide it; both results are
+`make_hyperideal` and `generated_by` decide it, except that on a
+certified product or quotient `make_hyperideal` looks the set up in the
+derived lattice below; both results are
 memoised with the table, by member set and by element, as is
 `hyperideal_product` by its factors' member sets, and `quotient_sets`
 reads each element's memoised row of g.
@@ -156,16 +159,20 @@ def _touching(old, new, every, arity):
         for i in range(arity))
 
 
-def worklist_closure(ring, seed, absorbing, base=frozenset()):
+def worklist_closure(ring, seed, absorbing, base=frozenset(), limit=math.inf):
     """Least superset of seed | base | {0} closed under f, the inverses,
     and either absorption under g (a hyperideal) or g itself (a
-    subhyperring), for a base that is already closed.
+    subhyperring), for a base that is already closed; or, once the
+    members exceed limit, the members so far.
 
     Each round only processes the elements that are new in that round:
     their inverses and absorption sets, and f (or g) on the tuples over
     the members that contain at least one new element.  Every tuple is
     therefore evaluated once, and one over the base alone never: the
     rules are Horn rules, so the closed base yields nothing on its own.
+    The members after each round lie inside the closure, so a set
+    returned above limit means the closure is above it too
+    (FINDINGS.md (vii)).
     """
     f, g, m, n = ring.f, ring.g, ring.m, ring.n
     absorb = absorption_index(ring) if absorbing else None
@@ -174,6 +181,8 @@ def worklist_closure(ring, seed, absorbing, base=frozenset()):
     while new:
         old = list(members)
         members |= new
+        if len(members) > limit:
+            break
         every = list(members)
         fresh = set(itertools.chain.from_iterable(
             map(f.__getitem__, _touching(old, new, every, m))))
@@ -188,14 +197,19 @@ def worklist_closure(ring, seed, absorbing, base=frozenset()):
     return frozenset(members)
 
 
-def ideal_closure(ring, seed, base=frozenset()):
-    """Smallest hyperideal holding the seed and a hyperideal base."""
-    return worklist_closure(ring, seed, True, base)
+def ideal_closure(ring, seed, base=frozenset(), limit=math.inf):
+    """Smallest hyperideal holding the seed and a hyperideal base, or a
+    set above limit inside it."""
+    return worklist_closure(ring, seed, True, base, limit)
 
 
 @memoised("closed")
 def _is_closed(ring, members):
-    """Whether the member set is its own ideal closure: a hyperideal."""
+    """Whether the member set is a hyperideal: on a certified product or
+    quotient, one of the lattice derived from its factors or parent
+    (FINDINGS.md (v), (vi)), and otherwise its own ideal closure."""
+    if "factors" in ring.memo or "parent" in ring.memo:
+        return any(p.members == members for p in enumerate_hyperideals(ring))
     return ideal_closure(ring, members) == members
 
 
@@ -209,7 +223,8 @@ def _canonical_order(sets):
 
 def closed_sets(ring, closure, limit=math.inf):
     """Every set of at most limit elements closed under closure(ring,
-    seed, base), the least closed set holding seed and the closed set base.
+    seed, base, limit), the least closed set holding seed and the closed
+    set base, or a set above limit inside it.
 
     Each closed set is the join (closure of the union) of the closures of
     its elements, so closing the singleton closures under binary joins
@@ -219,15 +234,17 @@ def closed_sets(ring, closure, limit=math.inf):
     which a broken table need not keep closed.  Every partial join on the
     way to a closed S lies inside S, so a singleton closure or join above
     the limit is not kept, and a pair whose union is above it is not
-    closed (FINDINGS.md (vii)).
+    closed; each closure is passed the limit, and stops once it is above
+    it (FINDINGS.md (vii)).
     """
     found = set()
-    new = {s for s in (closure(ring, frozenset([x])) for x in ring.carrier)
+    new = {s for s in (closure(ring, frozenset([x]), frozenset(), limit)
+                       for x in ring.carrier)
            if len(s) <= limit}
     while new:
         pairs = [*itertools.product(new, found), *itertools.combinations(new, 2)]
         found |= new
-        joins = (closure(ring, *sorted(pair, key=len)) for pair in pairs
+        joins = (closure(ring, *sorted(pair, key=len), limit) for pair in pairs
                  if not (pair[0] <= pair[1] or pair[1] <= pair[0])
                  and len(pair[0] | pair[1]) <= limit)
         new = {s for s in joins if len(s) <= limit} - found

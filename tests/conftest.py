@@ -102,6 +102,15 @@ def local16():
                           {(a, b): mul(a, b) for a, b in pairs})
 
 
+def two_element_field(name, labels):
+    """Z_2 as a Krasner (2,2)-hyperring with singleton f, labelled zero
+    first."""
+    pairs = list(itertools.product(range(2), repeat=2))
+    return HyperringTable(name, 2, 2, labels, 0, 1,
+                          {(a, b): {a ^ b} for a, b in pairs},
+                          {(a, b): a & b for a, b in pairs})
+
+
 def mutate(ring, name, f_overrides=None, g_overrides=None):
     """Copy of a table with some entries replaced."""
     f = dict(ring.f)

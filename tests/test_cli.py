@@ -9,6 +9,8 @@ from hyperrings.cli import main
 from hyperrings.corpus import document_text
 from hyperrings.documents import serialize_document
 
+from conftest import two_element_field
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -205,6 +207,20 @@ class TestProductAndQuotient:
                            "--no-validate")
         assert code == 2
         assert "arity" in err
+
+    def test_product_with_colliding_labels_is_a_usage_error(self, tmp_path,
+                                                            capsys):
+        for name, labels in (("A", ["a_b", "a"]), ("B", ["c", "b_c"])):
+            (tmp_path / f"{name}.json").write_text(
+                serialize_document(two_element_field(name, labels)))
+        target = tmp_path / "x.json"
+        code, out, err = run(capsys, "product", str(tmp_path / "A.json"),
+                             str(tmp_path / "B.json"), "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: elements (a_b,c) and (a,b_c) of AxB "
+                       "both get the label 'a_b_c'\n")
+        assert not target.exists()
 
     def test_product_internal_fault_is_not_a_usage_error(
             self, docs, tmp_path, monkeypatch):

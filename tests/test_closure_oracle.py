@@ -18,6 +18,7 @@ built-in corpus and on F2[x,y,z]/(x,y,z)^2, whose lattices need a second
 round of joins.
 """
 import itertools
+import math
 
 from hypothesis import given, settings, strategies as st
 
@@ -118,7 +119,7 @@ def assert_same_closures(ring):
             (ring.name, sorted(seed))
 
 
-def adjoin_zero(ring, seed, base=frozenset()):
+def adjoin_zero(ring, seed, base=frozenset(), limit=math.inf):
     return frozenset(seed) | base | {ring.zero}
 
 

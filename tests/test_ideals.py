@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -75,7 +76,7 @@ class TestEnumeration:
         # on the corpus and the folds every hyperideal and subhyperring is
         # the closure of one element; adjoining zero is a closure whose
         # closed sets the search reaches only through its joins
-        def adjoin_zero(ring, seed, base=frozenset()):
+        def adjoin_zero(ring, seed, base=frozenset(), limit=math.inf):
             return frozenset(seed) | base | {ring.zero}
 
         rest = [x for x in G.carrier if x != G.zero]

@@ -25,7 +25,7 @@ from hyperrings.ideals import (_canonical_order, closed_sets,
                                ideal_closure)
 from hyperrings.theorems import _Harness, run_theorem
 
-from conftest import load_gen, memo_entries, mutate
+from conftest import load_gen, memo_entries, mutate, two_element_field
 
 
 def reference_product_tables(r1, r2):
@@ -163,6 +163,24 @@ def test_a_product_lattice_is_derived_on_first_read():
     assert ("hyperideals", ()) not in memo_entries(G)
     assert len(lattice(p)) == len(lattice(G)) ** 2
     assert ("hyperideals", ()) in memo_entries(G)
+
+
+def test_colliding_product_labels_are_named():
+    # "a_b" "_" "c" and "a" "_" "b_c" are one label
+    r1 = two_element_field("A", ["a_b", "a"])
+    r2 = two_element_field("B", ["c", "b_c"])
+    assert r1.validation.passed and r2.validation.passed
+    with pytest.raises(ValueError) as caught:
+        direct_product(r1, r2)
+    assert str(caught.value) == \
+        "elements (a_b,c) and (a,b_c) of AxB both get the label 'a_b_c'"
+    assert direct_product(r2, r1).labels == ("c_a_b", "c_a", "b_c_a_b", "b_c_a")
+
+
+def test_labels_without_underscores_do_not_change():
+    r1 = two_element_field("A", ["0", "1"])
+    r2 = two_element_field("B", ["z", "u"])
+    assert direct_product(r1, r2).labels == ("0_z", "0_u", "1_z", "1_u")
 
 
 # -- the pool of the product theorems -------------------------------------

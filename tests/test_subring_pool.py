@@ -11,8 +11,12 @@ filtered by size, in order, and the pool must hold exactly the tables
 corpus, the folds of G, local16 and the 130 krasner-corpus tables, which
 `perfbench/gen.py` generates and this module only reads.  On the tables
 of at most 16 elements every limit is checked, for the hyperideal closure
-too.
+too, and every closure that the bounded search calls must return the
+unbounded closure, or a set above the limit inside it: a closure stops
+once its members are above the limit, and no round of it evaluates
+tuples over more members.
 """
+from hyperrings import ideals
 from hyperrings.construct import (_subring_closure, enumerate_subhyperrings,
                                   subhyperring_table)
 from hyperrings.documents import parse_document
@@ -41,11 +45,23 @@ def assert_pool(ring):
     return small
 
 
+def stops_at_the_limit(closure):
+    """The closure, asserting on every call that it returns the unbounded
+    closure, or a set above the limit inside it."""
+    def bounded(ring, seed, base, limit):
+        got = closure(ring, seed, base, limit)
+        full = closure(ring, seed, base)
+        assert got == full or len(got) > limit and got <= full, \
+            (ring.name, closure.__name__, limit, sorted(seed), sorted(base))
+        return got
+    return bounded
+
+
 def assert_every_limit(ring):
     for closure in (_subring_closure, ideal_closure):
         full = closed_sets(ring, closure)
         for limit in range(ring.size + 1):
-            assert closed_sets(ring, closure, limit) == \
+            assert closed_sets(ring, stops_at_the_limit(closure), limit) == \
                 [s for s in full if len(s) <= limit], (ring.name, closure.__name__, limit)
 
 
@@ -58,6 +74,21 @@ def test_pool_of_built_in_structures(corpus, GxG):
     assert sum(len(s) == MAX_SUBRING for s in small[GxG.name]) == 6
     assert {ring.name: len(_subring_pool(ring)) for ring in corpus} == {
         "G": 4, "H": 2, "GxG": 16, "G/{0,6}": 4, "G/{0,2,4,6}": 2, "one": 1}
+
+
+def test_a_bounded_closure_stops_at_the_bound(GxG, monkeypatch):
+    # a round evaluates tuples over the members with at least one new
+    # element, so no round may start with more than MAX_SUBRING members
+    rounds = []
+
+    def touching(old, new, every, arity):
+        rounds.append(len(every))
+        return touching_all(old, new, every, arity)
+
+    touching_all = ideals._touching
+    monkeypatch.setattr(ideals, "_touching", touching)
+    closed_sets(GxG, _subring_closure, MAX_SUBRING)
+    assert rounds and max(rounds) <= MAX_SUBRING
 
 
 def test_pool_of_folds(folds):
