@@ -38,8 +38,9 @@ class InternalInconsistencyError(RuntimeError):
     """Two characterizations that must agree disagreed: implementation bug."""
 
 
+@memoised("squares")
 def _squares(ring):
-    return [g_product(ring, (x, x)) for x in ring.carrier]
+    return tuple(g_product(ring, (x, x)) for x in ring.carrier)
 
 
 # -- n-tuple predicates ----------------------------------------------------
@@ -97,7 +98,10 @@ def _absorbing_scan(ring, members, lead, target, k, ordered):
     k(n-1)+1 over R \\ members whose g-fold lies in members while no index
     subset of size (k-1)(n-1)+1 passes: the leading subset passes when its
     product lies in lead, every other one when its product lies in target.
-    (A tuple with an entry in the ideal passes every such condition.)
+    A tuple with an entry in the target passes (FINDINGS.md (xi)), so the
+    entries come from R \\ (members | target); at k = 1 with a lead that
+    is not the target, position 0 lies in the leading subset alone, and
+    they come from R \\ members.
 
     A subset without the last position settles the whole prefix; one with
     it clears its sub-prefix's row of target.  Unless ordered, only
@@ -113,7 +117,8 @@ def _absorbing_scan(ring, members, lead, target, k, ordered):
     leaving = [_entries(s) for s in subsets[1:] if s[-1] < length - 1]
     holding = [_entries(s[:-1]) for s in subsets
                if s[-1] == length - 1 and k > 1]
-    outside = complement(ring, members)
+    outside = complement(ring, members if k == 1 and lead is not target
+                         else members | target)
     rows, hits = row_masks(ring, members), row_masks(ring, target)
     folds = _Folds(ring)
     h = small - n + 1    # a (sub-)prefix folds to h, then one g step

@@ -242,7 +242,7 @@ def image_ideal(h, p1):
     if not h.kernel <= p1.members:
         raise KernelNotContainedError(
             f"kernel {h.source.subset_label(h.kernel)} not inside {p1.render()}")
-    members = frozenset(h(x) for x in p1.members)
+    members = frozenset(map(h.mapping.__getitem__, p1.members))
     return make_hyperideal(h.target, members, strict=False)
 
 

@@ -213,11 +213,8 @@ def f_extend(ring, subsets):
     for s in subsets:
         if not s:
             raise ValueError("f_extend: empty input subset")
-    out = set()
-    f = ring.f
-    for t in itertools.product(*subsets):
-        out |= f[t]
-    return frozenset(out)
+    return frozenset().union(*map(ring.f.__getitem__,
+                                  itertools.product(*subsets)))
 
 
 def g_power(ring, a, s):

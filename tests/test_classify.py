@@ -11,6 +11,7 @@ from hyperrings.classify import (InternalInconsistencyError, classify,
                                  is_primary, is_q_primary, is_sq_primary,
                                  is_weakly_primary, is_weakly_prime,
                                  is_wsq_primary)
+from hyperrings.construct import direct_product
 from hyperrings.core import g_product
 from hyperrings.corpus import document_text
 from hyperrings.documents import parse_document
@@ -364,6 +365,11 @@ class TestWitnessOracles:
     def test_folds(self, folds, which):
         assert_witnesses_match(folds[which])
 
+    def test_certified_product(self, G, G_mod_0246):
+        # two different factors: the lattice and the primes, and with them
+        # the radicals the scans prune by, come from the certificate
+        assert_witnesses_match(direct_product(G, G_mod_0246))
+
     def test_ordered_path(self, T):
         # T fails validation, so its scans must walk every ordered tuple;
         # a sorted walk misses (2,0) on {3} at k = 1, among others
@@ -372,6 +378,15 @@ class TestWitnessOracles:
                                    for s in itertools.combinations(T.carrier, r)])
         assert not is_kn_absorbing(
             make_hyperideal(T, {T.index("3")}, strict=False), 1)
+
+    def test_k1_primary_witness_leading_with_a_radical_entry(self, T):
+        # g(3,4) = 0 on T, 3 lies in the radical {0,3,6} of {0} and 4 does
+        # not: at k = 1 position 0 passes only inside {0} itself, so its
+        # entries must not be pruned by the radical
+        zero = frozenset({T.zero})
+        assert T.subset_label(radical_by_primes(T, zero)) == "{0,3,6}"
+        assert classify_module._EVALUATORS["absorbing_primary"](
+            T, zero, 1) == (False, (T.index("3"), T.index("4")))
 
     def test_fold_where_1_is_not_neutral(self, folds):
         # g(2,2,1) = 3 on the (2,3) fold, where 2.2 = 4 in G, so a fold that

@@ -8,7 +8,7 @@ import pytest
 
 from hyperrings.classify import (ClassificationRecord,
                                  InternalInconsistencyError, _outcome,
-                                 classify, is_kn_absorbing,
+                                 _squares, classify, is_kn_absorbing,
                                  is_kn_absorbing_primary,
                                  is_kn_absorbing_q_primary, is_primary,
                                  is_prime, is_q_primary, is_sq_primary,
@@ -44,7 +44,8 @@ def fresh_g():
 TAGS = {"product", "quotient", "hyperideals", "subhyperrings", "subring_pool",
         "radical_by_primes", "radical_by_powers", "classify", "absorption",
         "value_rows", "rows", "prime_hyperideals", "outcome", "generated",
-        "g_row", "closed", "ideal_tuples", "ideal_product", "factor_ideals"}
+        "g_row", "closed", "ideal_tuples", "ideal_product", "factor_ideals",
+        "squares"}
 
 
 class TestMemoIdentity:
@@ -69,6 +70,7 @@ class TestMemoIdentity:
             "row_masks": lambda: row_masks(G, p.members),
             "prime_hyperideals": lambda: prime_hyperideals(G),
             "_outcome": lambda: _outcome(G, p.members, "wsq_primary", None),
+            "_squares": lambda: _squares(G),
             "generated_by": lambda: generated_by(G, G.index("2")),
             "_g_row": lambda: _g_row(G, G.index("2")),
             "_is_closed": lambda: _is_closed(G, p.members),
