@@ -15,9 +15,9 @@ from .classify import (ClassificationRecord, InternalInconsistencyError,
                        is_weakly_prime, is_wsq_primary)
 from .construct import (Homomorphism, IllDefinedQuotientError,
                         KernelNotContainedError, NotSurjectiveError,
-                        direct_product, enumerate_subhyperrings, image_ideal,
-                        is_homomorphism, is_subhyperring, preimage_ideal,
-                        quotient, subhyperring_table)
+                        direct_product, image_ideal, is_homomorphism,
+                        is_subhyperring, preimage_ideal, quotient,
+                        subhyperring_table)
 from .documents import (DocumentError, DocumentValidationError, load_path,
                         parse_document, serialize_document)
 from .corpus import builtin_corpus

@@ -1,10 +1,12 @@
 """Constructions: direct products, quotients, homomorphisms and transfers.
 
 Quotient classes are keyed by their full member sets rather than by
-representatives.  On a passing table and a hyperideal the induced
-operations are well defined by theorem (FINDINGS.md (viii)) and are read
-off one representative per class; on any other table or subset that is an
-explicit, exhaustively checked assertion instead of an assumption.
+representatives.  On a passing table and a hyperideal the classes
+partition the carrier and each is computed once, from its least member
+(FINDINGS.md (xii)), and the induced operations are well defined
+(FINDINGS.md (viii)) and are read off one representative per class; on
+any other table or subset both are explicit, exhaustively checked
+assertions instead of assumptions.
 The one-representative fill projects only the f-values that the tuples of
 class minima read, and builds each induced table with one `dict(zip(...))`
 over `map`, with no Python step per entry.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 from .core import (ArityError, HyperringTable, ValidationReport, Violation,
                    f_extend, memoised)
-from .ideals import (ImproperIdealError, _is_closed, _members_of, closed_sets,
+from .ideals import (ImproperIdealError, _is_closed, _members_of,
                      make_hyperideal, product_pack, worklist_closure)
 
 
@@ -112,10 +114,10 @@ def direct_product(r1, r2):
 def quotient(ring, ideal):
     """Quotient by a proper hyperideal via the class map r -> f(r, Q, 0^(m-2)).
 
-    The classes must partition the carrier, which is always verified, and
-    the induced operations must be independent of representatives, which
-    holds on a passing table and a hyperideal (FINDINGS.md (viii)) and is
-    verified over every representative tuple off the certificate.
+    The classes must partition the carrier, and the induced operations
+    must be independent of representatives.  Both hold on a passing table
+    and a hyperideal (FINDINGS.md (xii), (viii)); off that certificate the
+    partition is verified, and so is every representative tuple.
     Violations raise IllDefinedQuotientError with a witness.  Returns the
     quotient table and the projection homomorphism.
     """
@@ -128,26 +130,33 @@ def _quotient(ring, q_members):
         raise ImproperIdealError("quotient needs a proper hyperideal")
     m, n = ring.m, ring.n
     zero_pad = [frozenset({ring.zero})] * (m - 2)
+    # on a passing table and a hyperideal Q the classes partition R, so each
+    # uncovered r gives its class to all its members, and the classes come
+    # in min order (FINDINGS.md (xii)); and every choice of representatives
+    # gives the same value (FINDINGS.md (viii)): read the class minima, and
+    # project only the f-values read there.  Every other table or subset
+    # gets the class of every r, the checks and the scan
+    certified = _is_closed(ring, q_members) and ring.validation.passed
     cls_of = {}
-    classes = []
     for r in ring.carrier:
-        c = f_extend(ring, [frozenset({r}), q_members] + zero_pad)
-        cls_of[r] = c
-        if c not in classes:
-            classes.append(c)
-    covered = set()
-    for c in classes:
-        if covered & c:
-            raise IllDefinedQuotientError(
-                f"classes of {ring.name}/{ring.subset_label(q_members)} "
-                f"overlap at {ring.subset_label(covered & c)}")
-        covered |= c
-    for r in ring.carrier:
-        if r not in cls_of[r]:
-            raise IllDefinedQuotientError(
-                f"element {ring.label(r)} not in its own class")
+        if not (certified and r in cls_of):
+            c = f_extend(ring, [frozenset({r}), q_members] + zero_pad)
+            cls_of.update(dict.fromkeys(c if certified else (r,), c))
+    classes = list(dict.fromkeys(cls_of.values()))    # in first-seen order
+    if not certified:
+        covered = set()
+        for c in classes:
+            if covered & c:
+                raise IllDefinedQuotientError(
+                    f"classes of {ring.name}/{ring.subset_label(q_members)} "
+                    f"overlap at {ring.subset_label(covered & c)}")
+            covered |= c
+        for r in ring.carrier:
+            if r not in cls_of[r]:
+                raise IllDefinedQuotientError(
+                    f"element {ring.label(r)} not in its own class")
+        classes.sort(key=min)
 
-    classes.sort(key=min)
     cls_index = {c: i for i, c in enumerate(classes)}
     proj = tuple(cls_index[cls_of[r]] for r in ring.carrier)
     labels = ["+".join(ring.labels[i] for i in sorted(c)) for c in classes]
@@ -158,10 +167,6 @@ def _quotient(ring, q_members):
                 f"classes {ring.subset_label(first[label])} and {ring.subset_label(c)} "
                 f"of {ring.name}/{ring.subset_label(q_members)} both get the label {label!r}")
 
-    # on a passing table and a hyperideal Q, every choice of representatives
-    # gives the same value (FINDINGS.md (viii)): read the class minima, and
-    # project only the f-values read there
-    certified = _is_closed(ring, q_members) and ring.validation.passed
     minima = [min(c) for c in classes]
     read = (map(ring.f.__getitem__, itertools.product(minima, repeat=m))
             if certified else ring.f.values())
@@ -260,12 +265,6 @@ def is_subhyperring(ring, members):
 
 def _subring_closure(ring, seed, base=frozenset(), limit=math.inf):
     return worklist_closure(ring, seed, False, base, limit)
-
-
-@memoised("subhyperrings")
-def enumerate_subhyperrings(ring):
-    """All subhyperrings: the closed sets of the subhyperring closure."""
-    return closed_sets(ring, _subring_closure)
 
 
 def scalar_identity_in(ring, members):

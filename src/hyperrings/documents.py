@@ -9,8 +9,10 @@ order, need appear and the loader expands the symmetric closure; a
 table keeps no flag.  Serialization is canonical: fixed field order,
 tuples emitted in lexicographic element order, each flag set exactly when
 its table is symmetric and the keys then compressed, two-space
-indentation, trailing newline.  parse o serialize is the identity on
-canonical documents.
+indentation, trailing newline.  The writer emits that layout, which is
+json.dumps(indent=2)'s, directly and builds no intermediate object; the
+loader maps labels through one dict and re-walks them only to name a bad
+one.  parse o serialize is the identity on canonical documents.
 """
 from __future__ import annotations
 
@@ -38,12 +40,14 @@ _FIELDS = ("name", "m", "n", "elements", "zero", "one",
 
 
 def _reject_duplicates(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise DocumentError(f"duplicate key {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    out = dict(pairs)
+    if len(out) != len(pairs):    # name the first repeated key
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError(f"duplicate key {key!r}")
+            seen.add(key)
+    return out
 
 
 def parse_document(text, validate=True):
@@ -85,10 +89,11 @@ def parse_document(text, validate=True):
     index = {e: i for i, e in enumerate(elements)}
 
     def look(label, where):
+        # from None: parse_table's handlers call this to name a bad label
         if not isinstance(label, str):
-            raise DocumentError(f"label {label!r} in {where} is not a string")
+            raise DocumentError(f"label {label!r} in {where} is not a string") from None
         if label not in index:
-            raise DocumentError(f"unknown label {label!r} in {where}")
+            raise DocumentError(f"unknown label {label!r} in {where}") from None
         return index[label]
 
     zero = look(doc["zero"], "zero")
@@ -106,20 +111,28 @@ def parse_document(text, validate=True):
             if len(parts) != arity:
                 raise DocumentError(f"{which} key {key!r} is not an "
                                     f"{arity}-tuple")
-            t = tuple(look(p, f"{which} key {key!r}") for p in parts)
+            try:
+                t = tuple(map(index.__getitem__, parts))
+            except KeyError:
+                t = tuple(look(p, f"{which} key {key!r}") for p in parts)
             if comm and tuple(sorted(t)) != t:
                 raise DocumentError(f"{which} key {key!r} is not "
                                     f"non-decreasing under commutative compression")
             if which == "f":
                 if not isinstance(value, list):
                     raise DocumentError(f"f value for {key!r} must be an array")
-                out = frozenset(look(v, f"f value for {key!r}") for v in value)
+                try:
+                    out = frozenset(map(index.__getitem__, value))
+                except (KeyError, TypeError):    # not a label, or unhashable
+                    out = frozenset(look(v, f"f value for {key!r}") for v in value)
             else:
                 if not isinstance(value, str):
                     raise DocumentError(f"g value for {key!r} must be a label")
                 out = look(value, f"g value for {key!r}")
-            for perm in set(itertools.permutations(t)) if comm else (t,):
-                table[perm] = out
+            if comm:
+                table.update(dict.fromkeys(itertools.permutations(t), out))
+            else:
+                table[t] = out
         return table
 
     f = parse_table(doc["f"], m, comm_f, "f")
@@ -139,38 +152,45 @@ def parse_document(text, validate=True):
     return ring
 
 
+def _layout(items, depth, brackets="[]"):
+    """The array, or the object of '"key": value' items, of encoded items
+    at the given nesting depth, laid out as json.dumps(indent=2) does."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
 def serialize_document(ring):
     """Canonical text form; deterministic byte-for-byte.  Each flag says
-    whether its table is symmetric, and only then are its keys compressed."""
-    def layout(table, arity):
+    whether its table is symmetric, and only then are its keys compressed.
+    Each label is escaped once, and each distinct value rendered once."""
+    quoted = [json.dumps(label) for label in ring.labels]
+    bare = [q[1:-1] for q in quoted]
+
+    def table_text(table, arity, show):
         keys = list(itertools.product(range(ring.size), repeat=arity))
-        if _symmetric(list(map(table.__getitem__, keys)), ring.size):
-            return True, itertools.combinations_with_replacement(
-                range(ring.size), arity)
-        return False, keys
+        values = list(map(table.__getitem__, keys))
+        comm = _symmetric(values, ring.size)
+        if comm:
+            keys = list(itertools.combinations_with_replacement(
+                range(ring.size), arity))
+            values = list(map(table.__getitem__, keys))
+        shown = {v: show(v) for v in set(values)}
+        return comm, _layout([f'"{",".join(map(bare.__getitem__, t))}": {shown[v]}'
+                              for t, v in zip(keys, values)], 1, "{}")
 
-    comm_f, f_keys = layout(ring.f, ring.m)
-    comm_g, g_keys = layout(ring.g, ring.n)
-    f_obj = {ring.tuple_label(t): [ring.labels[i] for i in sorted(ring.f[t])]
-             for t in f_keys}
-    g_obj = {ring.tuple_label(t): ring.labels[ring.g[t]] for t in g_keys}
-
-    doc = {
-        "name": ring.name,
-        "m": ring.m,
-        "n": ring.n,
-        "elements": list(ring.labels),
-        "zero": ring.labels[ring.zero],
-        "one": ring.labels[ring.one],
-        "commutative_f": comm_f,
-        "commutative_g": comm_g,
-        "f": f_obj,
-        "g": g_obj,
-    }
+    comm_f, f_text = table_text(
+        ring.f, ring.m, lambda v: _layout([quoted[i] for i in sorted(v)], 2))
+    comm_g, g_text = table_text(ring.g, ring.n, quoted.__getitem__)
+    values = [json.dumps(ring.name), json.dumps(ring.m), json.dumps(ring.n),
+              _layout(quoted, 1), quoted[ring.zero], quoted[ring.one],
+              json.dumps(comm_f), json.dumps(comm_g), f_text, g_text]
     notes = getattr(ring, "notes", ())
     if notes:
-        doc["notes"] = list(notes)
-    return json.dumps(doc, indent=2) + "\n"
+        values.append(_layout(list(map(json.dumps, notes)), 1))
+    return _layout([f'"{field}": {value}' for field, value
+                    in zip(_FIELDS + ("notes",), values)], 0, "{}") + "\n"
 
 
 def load_path(path, validate=True):

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from hyperrings.construct import _subring_closure
 from hyperrings.core import HyperringTable
 from hyperrings.corpus import builtin_corpus
-from hyperrings.ideals import _canonical_order, is_hyperideal
+from hyperrings.ideals import _canonical_order, closed_sets, is_hyperideal
 
 
 @pytest.fixture(scope="session")
@@ -143,6 +144,13 @@ def brute_force_hyperideals(ring):
             if is_hyperideal(ring, s):
                 out.append(s)
     return _canonical_order(out)
+
+
+def enumerate_subhyperrings(ring):
+    """All subhyperrings, the closed sets of the subhyperring closure with
+    no size bound: the reference that Thm 4.13's bounded pool is checked
+    against."""
+    return closed_sets(ring, _subring_closure)
 
 
 def load_gen():

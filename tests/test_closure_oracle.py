@@ -22,14 +22,13 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from hyperrings.construct import (_subring_closure, enumerate_subhyperrings,
-                                  is_subhyperring)
+from hyperrings.construct import _subring_closure, is_subhyperring
 from hyperrings.ideals import (_canonical_order, closed_sets,
                                enumerate_hyperideals, generated_by,
                                ideal_closure, is_hyperideal, make_hyperideal,
                                row_masks)
 
-from conftest import brute_force_hyperideals, mutate
+from conftest import brute_force_hyperideals, enumerate_subhyperrings, mutate
 from strategies import corruptions
 
 

@@ -6,13 +6,14 @@ import pytest
 from hyperrings.classify import classify
 from hyperrings.construct import (Homomorphism, KernelNotContainedError,
                                   NotSurjectiveError, direct_product,
-                                  enumerate_subhyperrings, image_ideal,
-                                  is_homomorphism, is_subhyperring,
-                                  preimage_ideal, quotient, scalar_identity_in,
-                                  subhyperring_table)
+                                  image_ideal, is_homomorphism,
+                                  is_subhyperring, preimage_ideal, quotient,
+                                  scalar_identity_in, subhyperring_table)
 from hyperrings.core import ArityError, HyperringTable, validate_krasner
 from hyperrings.ideals import (ideal_from_labels, make_hyperideal,
                                proper_hyperideals)
+
+from conftest import enumerate_subhyperrings
 
 
 def subset(ring, *labels):

@@ -1,16 +1,55 @@
+import itertools
 import json
 import re
 
 import pytest
 
 from hyperrings.construct import direct_product, quotient
-from hyperrings.core import ValidationReport
+from hyperrings.core import HyperringTable, ValidationReport, _symmetric
 from hyperrings.corpus import DOCUMENT_FILES, builtin_corpus, document_text
 from hyperrings.documents import (DocumentError, DocumentValidationError,
                                   parse_document, serialize_document)
-from hyperrings.ideals import ideal_from_labels
+from hyperrings.ideals import ideal_from_labels, proper_hyperideals
 
-from conftest import mutate
+from conftest import load_gen, mutate
+
+
+def reference_serialize(ring):
+    """The canonical text as json.dumps(indent=2) lays out the canonical
+    object: the reference for the writer, which emits that layout itself."""
+    def layout(table, arity):
+        keys = list(itertools.product(range(ring.size), repeat=arity))
+        if _symmetric(list(map(table.__getitem__, keys)), ring.size):
+            return True, itertools.combinations_with_replacement(
+                range(ring.size), arity)
+        return False, keys
+
+    comm_f, f_keys = layout(ring.f, ring.m)
+    comm_g, g_keys = layout(ring.g, ring.n)
+    doc = {
+        "name": ring.name,
+        "m": ring.m,
+        "n": ring.n,
+        "elements": list(ring.labels),
+        "zero": ring.labels[ring.zero],
+        "one": ring.labels[ring.one],
+        "commutative_f": comm_f,
+        "commutative_g": comm_g,
+        "f": {ring.tuple_label(t): [ring.labels[i] for i in sorted(ring.f[t])]
+              for t in f_keys},
+        "g": {ring.tuple_label(t): ring.labels[ring.g[t]] for t in g_keys},
+    }
+    notes = getattr(ring, "notes", ())
+    if notes:
+        doc["notes"] = list(notes)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def edited(filename, table, key, value):
+    """A shipped document with one entry of f or g set."""
+    doc = json.loads(document_text(filename))
+    doc[table][key] = value
+    return json.dumps(doc, indent=2)
 
 
 class TestParse:
@@ -85,6 +124,44 @@ class TestParse:
         with pytest.raises(DocumentError, match="non-decreasing"):
             parse_document(json.dumps(doc))
 
+    # the exact messages: the first bad label is named, and the checks run
+    # in order: arity, labels, non-decreasing, then the value's type
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(edited("g.json", "f", "0,9", ["0"]),
+                     "unknown label '9' in f key '0,9'", id="key-label"),
+        pytest.param(edited("g.json", "f", "0,0", ["0", "9"]),
+                     "unknown label '9' in f value for '0,0'",
+                     id="f-value-label"),
+        pytest.param(edited("g.json", "f", "0,0", ["0", 5]),
+                     "label 5 in f value for '0,0' is not a string",
+                     id="f-value-int"),
+        pytest.param(edited("g.json", "f", "0,1", ["1", ["2"]]),
+                     "label ['2'] in f value for '0,1' is not a string",
+                     id="f-value-nested-list"),
+        pytest.param(edited("g.json", "f", "0,0", "0"),
+                     "f value for '0,0' must be an array", id="f-value-not-list"),
+        pytest.param(edited("g.json", "g", "0,0", 0),
+                     "g value for '0,0' must be a label", id="g-value-not-string"),
+        pytest.param(edited("g.json", "g", "0,0", "9"),
+                     "unknown label '9' in g value for '0,0'", id="g-value-label"),
+        pytest.param(edited("g.json", "f", "0,0,0", ["0"]),
+                     "f key '0,0,0' is not an 2-tuple", id="arity"),
+        pytest.param(edited("h.json", "f", "2,1,9", ["0"]),
+                     "unknown label '9' in f key '2,1,9'",
+                     id="unordered-key-label"),
+        pytest.param(edited("h.json", "f", "2,1,0", ["0"]),
+                     "f key '2,1,0' is not non-decreasing under commutative "
+                     "compression", id="unordered-key"),
+        pytest.param(document_text("one.json").replace(
+            '"f": {', '"f": {\n    "0,0": ["0"],'),
+            "duplicate key '0,0'", id="duplicate-f-key"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(DocumentError) as error:
+            parse_document(text, validate=False)
+        assert str(error.value) == message
+        assert error.value.__suppress_context__ or error.value.__context__ is None
+
 
 class TestRoundTrip:
     def test_shipped_documents_are_canonical(self):
@@ -146,6 +223,53 @@ class TestRoundTrip:
         text = serialize_document(table)
         back = parse_document(text)
         assert back.labels == ("0+6", "1", "2+4", "3")
+        assert serialize_document(back) == text
+
+
+def escaped_table():
+    """Labels, name and notes that need JSON escapes, one empty f value,
+    and a non-commutative f, so that f is written dense."""
+    labels = ["0", 'a"b', "c\\d", "\u00e9", "t\tu", "\x01", "\U0001d53d"]
+    size = len(labels)
+    pairs = list(itertools.product(range(size), repeat=2))
+    f = {(a, b): {a} if b == 0 else {b} if a == 0 else {max(a, b)}
+         for a, b in pairs}
+    f[(2, 1)] = set()
+    ring = HyperringTable('\u00e9"\\\n', 2, 2, labels, 0, 1, f,
+                          {(a, b): a * b % size for a, b in pairs})
+    ring.notes = ('quote " and backslash \\', "\u00e9\t\U0001d53d", "")
+    return ring
+
+
+class TestWriter:
+    """The writer emits json.dumps(indent=2)'s layout itself: it must give
+    the reference's bytes on every table."""
+
+    def test_krasner_corpus_and_its_quotients(self):
+        count = 0
+        for item in load_gen().krasner_corpus():
+            ring = parse_document(item.text)
+            assert serialize_document(ring) == reference_serialize(ring) == item.text
+            for p in proper_hyperideals(ring):
+                table, _ = quotient(ring, p)
+                assert serialize_document(table) == reference_serialize(table), \
+                    table.name
+                count += 1
+        assert count > 130
+
+    def test_built_in_corpus_folds_and_t(self, corpus, folds, T):
+        for ring in corpus + folds + [T]:
+            assert serialize_document(ring) == reference_serialize(ring), ring.name
+
+    def test_labels_and_notes_with_escapes(self):
+        ring = escaped_table()
+        text = serialize_document(ring)
+        assert text == reference_serialize(ring)
+        doc = json.loads(text)
+        assert doc["commutative_f"] is False and doc["f"]["c\\d,a\"b"] == []
+        back = parse_document(text, validate=False)
+        assert (back.labels, back.f, back.g, back.notes) == (
+            ring.labels, ring.f, ring.g, ring.notes)
         assert serialize_document(back) == text
 
 

@@ -14,8 +14,7 @@ from hyperrings.classify import (ClassificationRecord,
                                  is_prime, is_q_primary, is_sq_primary,
                                  is_weakly_primary, is_weakly_prime,
                                  is_wsq_primary)
-from hyperrings.construct import (direct_product, enumerate_subhyperrings,
-                                  quotient)
+from hyperrings.construct import direct_product, quotient
 from hyperrings.corpus import builtin_corpus, document_text
 from hyperrings.documents import parse_document
 from hyperrings.ideals import (ImproperIdealError, _g_row, _is_closed,
@@ -41,7 +40,7 @@ def fresh_g():
 
 # the tag of each memoised function; "factors" and "parent" are taken by
 # the certificates that direct_product and quotient write
-TAGS = {"product", "quotient", "hyperideals", "subhyperrings", "subring_pool",
+TAGS = {"product", "quotient", "hyperideals", "subring_pool",
         "radical_by_primes", "radical_by_powers", "classify", "absorption",
         "value_rows", "rows", "prime_hyperideals", "outcome", "generated",
         "g_row", "closed", "ideal_tuples", "ideal_product", "factor_ideals",
@@ -60,7 +59,6 @@ class TestMemoIdentity:
             "direct_product": lambda: direct_product(G, G),
             "quotient": lambda: quotient(G, p),
             "enumerate_hyperideals": lambda: enumerate_hyperideals(G),
-            "enumerate_subhyperrings": lambda: enumerate_subhyperrings(G),
             "_subring_pool": lambda: _subring_pool(G),
             "radical_by_primes": lambda: radical_by_primes(G, zero),
             "radical_by_powers": lambda: radical_by_powers(G, zero),

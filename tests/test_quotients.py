@@ -11,11 +11,13 @@ a quotient by a subset must return exactly when the subset is a
 hyperideal, as the lemma of (vi) says.  A quotient of a failing table (H) records nothing and takes the
 closure search.
 
-On a passing table and a hyperideal, `quotient` reads each induced f and
-g entry off the class minima (FINDINGS.md (viii)).  `scanned_quotient`
-keeps the scan over every representative tuple that every quotient made
-before: the tables must agree with it on every quotient checked here, and
-a subset that is not a hyperideal must raise with its message.
+On a passing table and a hyperideal, `quotient` computes each class
+once, from its least member (FINDINGS.md (xii)), and reads each induced
+f and g entry off the class minima (FINDINGS.md (viii)).
+`scanned_quotient` keeps the class of every element and the scan over
+every representative tuple that every quotient made before: the tables
+and projections must agree with it on every quotient checked here, and a
+subset that is not a hyperideal must raise with its message.
 """
 import itertools
 
@@ -38,8 +40,9 @@ def closure_lattice(ring):
 
 
 def scanned_quotient(ring, q_members):
-    """The labels and induced f and g of ring/Q, with every representative
-    tuple scanned: the quotient construction before the certified fill."""
+    """The labels, induced f and g and projection of ring/Q, with the class
+    of every element and every representative tuple scanned: the quotient
+    construction off the certificate, with its checks."""
     if len(q_members) >= ring.size:
         raise ValueError("quotient needs a proper hyperideal")
     m, n = ring.m, ring.n
@@ -83,12 +86,13 @@ def scanned_quotient(ring, q_members):
                         f"induced {name} ill-defined at classes ({','.join(labels[i] for i in key)}): "
                         f"representatives ({ring.tuple_label(reps)}) give a different value")
             induced[name][key] = value
-    return tuple(labels), induced["f"], induced["g"]
+    return tuple(labels), induced["f"], induced["g"], proj
 
 
 def assert_scanned(table, ring, q_members):
-    """The quotient table is the one the representative scan builds."""
-    assert (table.labels, table.f, table.g) == \
+    """The quotient table and projection are the ones the scan builds."""
+    _, h = quotient(ring, q_members)
+    assert (table.labels, table.f, table.g, h.mapping) == \
         scanned_quotient(ring, q_members), table.name
 
 

@@ -12,6 +12,8 @@ from hyperrings.core import validate_krasner
 from hyperrings.construct import direct_product, quotient
 from hyperrings.ideals import make_hyperideal
 
+from conftest import enumerate_subhyperrings
+
 MOD = 12
 UNITS = (1, 5, 7, 11)
 
@@ -74,7 +76,7 @@ def test_quotient_of_quotient_collapses(G):
 
 
 def test_product_subring_closure(G, GxG):
-    from hyperrings.construct import enumerate_subhyperrings, is_subhyperring
+    from hyperrings.construct import is_subhyperring
     subs_g = enumerate_subhyperrings(G)
     subs_gxg = set(enumerate_subhyperrings(GxG))
     for s1 in subs_g:

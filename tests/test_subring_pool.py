@@ -17,13 +17,12 @@ once its members are above the limit, and no round of it evaluates
 tuples over more members.
 """
 from hyperrings import ideals
-from hyperrings.construct import (_subring_closure, enumerate_subhyperrings,
-                                  subhyperring_table)
+from hyperrings.construct import _subring_closure, subhyperring_table
 from hyperrings.documents import parse_document
 from hyperrings.ideals import closed_sets, ideal_closure
 from hyperrings.theorems import MAX_SUBRING, _subring_pool
 
-from conftest import load_gen
+from conftest import enumerate_subhyperrings, load_gen
 
 EVERY_LIMIT_UP_TO = 16
 
