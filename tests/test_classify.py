@@ -20,7 +20,7 @@ from hyperrings.ideals import (ImproperIdealError, ideal_from_labels,
                                radical_by_primes)
 from hyperrings.theorems import run_theorem
 
-from conftest import load_gen, mutate
+from conftest import fold, load_gen, mutate
 from strategies import corruptions
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -495,6 +495,17 @@ class TestClassify:
             lines.append("ideal: " + p.render())
             lines.extend(classify(p, 3).render_lines())
         golden = (GOLDEN / "classify_gxg_k3.txt").read_text()
+        assert "\n".join(lines) + "\n" == golden
+
+    def test_g_folds_golden(self, G, folds):
+        # pins the n-tuple witnesses at n = 3 and 4, primary's among them,
+        # on G's (2,3), (3,2), (3,3) and (2,4) folds
+        lines = []
+        for ring in (folds[1], folds[2], folds[0], fold(G, 2, 4)):
+            for p in proper_hyperideals(ring):
+                lines.append(f"ideal: {ring.name} {p.render()}")
+                lines.extend(classify(p, 2).render_lines())
+        golden = (GOLDEN / "classify_g_folds.txt").read_text()
         assert "\n".join(lines) + "\n" == golden
 
 
