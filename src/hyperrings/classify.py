@@ -15,6 +15,13 @@ and a last entry c, and `ideals.row_masks` gives, for each prefix, the
 bitmask of the c whose g-value lies in a set.  A prefix settles every c
 at once with a few mask operations, and since c varies fastest, the
 witness is the first failing prefix with its least c left.
+The six n-tuple predicates and `prime_hyperideals`' search are one scan,
+`ideals.tuple_scan`, whose docstring says when a position fails.  Prime,
+weakly prime, weakly primary, sq- and wsq-primary fail a tuple when every
+position fails, the abstract's "for some 1 <= i <= n" read literally;
+primary fails it when any one does, as in Ameri and Norouzi's n-ary
+primary (Eur. J. Combin. 2013).  Neither reading is taken for the paper's
+intent.
 Every predicate is an entry of `_EVALUATORS`, read through the memoised
 `_outcome`.  That table names the predicates and orders a classification
 record (`_record_entries`); `_outcome` checks, on a memo miss only, that
@@ -44,22 +51,6 @@ def _squares(ring):
 
 
 # -- n-tuple predicates ----------------------------------------------------
-
-def _primary_eval(ring, members, rad):
-    """A tuple fails where some entry outside the ideal drops to a g-value
-    outside the radical; the rows of the drops mark where that happens."""
-    rows, kept = row_masks(ring, members), row_masks(ring, rad)
-    g, one, outside = ring.g, ring.one, mask_of(complement(ring, members))
-    for prefix in itertools.product(ring.carrier, repeat=ring.n - 1):
-        hit = rows[prefix]
-        bad = outside if g[prefix + (one,)] not in rad else 0
-        for i, x in enumerate(prefix):
-            if x not in members:
-                bad |= ~kept[prefix[:i] + (one,) + prefix[i + 1:]]
-        if hit & bad:
-            return False, prefix + (lowest(hit & bad),)
-    return True, None
-
 
 def _sq_eval(ring, members, weak):
     """Tuples with an entry whose square lies in the ideal pass."""
@@ -228,8 +219,8 @@ _EVALUATORS = {
     "prime": lambda ring, p, k: tuple_scan(ring, p, complement(ring, p)),
     "weakly_prime": lambda ring, p, k: tuple_scan(
         ring, p, complement(ring, p), weak=True),
-    "primary": lambda ring, p, k: _primary_eval(
-        ring, p, radical_by_primes(ring, p)),
+    "primary": lambda ring, p, k: tuple_scan(
+        ring, p, complement(ring, p), radical_by_primes(ring, p), every=True),
     "weakly_primary": lambda ring, p, k: tuple_scan(
         ring, p, complement(ring, p), radical_by_primes(ring, p), weak=True),
     "q_primary": _q_primary_eval,

@@ -333,22 +333,28 @@ def lowest(mask):
     return (mask & -mask).bit_length() - 1
 
 
-def tuple_scan(ring, members, rest, rad=frozenset(), weak=False):
-    """(True, None), or (False, t) for the first n-tuple t over rest, in
-    product order, whose g-value lies in members, and is not zero when
-    weak, and none of whose drops (an entry replaced by the identity) has
-    its g-value in rad.  Each prefix settles its row of last entries at
-    once; the witness takes the least entry left, since the last entry
-    varies fastest."""
+def tuple_scan(ring, members, rest, rad=frozenset(), weak=False, every=False):
+    """(True, None), or (False, t) for the first n-tuple t, in product
+    order, whose g-value lies in members, and is not zero when weak, and
+    that fails.  Position i fails when t_i lies in rest and its drop (t_i
+    replaced by the identity) has its g-value outside rad; t fails when
+    every position fails, or with every when any one does.  Without every
+    a failing t lies over rest, so only those prefixes are walked.  Each
+    prefix settles its row of last entries at once; the witness takes the
+    least entry left, since the last entry varies fastest."""
     rows, kept = row_masks(ring, members), row_masks(ring, rad)
     zeros = row_masks(ring, frozenset([ring.zero]) if weak else frozenset())
-    g, one, allowed = ring.g, ring.one, mask_of(rest)
-    for prefix in itertools.product(rest, repeat=ring.n - 1):
-        if g[prefix + (one,)] in rad:
+    g, one, fails = ring.g, ring.one, mask_of(rest)
+    for prefix in itertools.product(ring.carrier if every else rest,
+                                    repeat=ring.n - 1):
+        bad = fails if g[prefix + (one,)] not in rad else 0
+        if not (bad or every):
             continue
-        hit = rows[prefix] & allowed & ~zeros[prefix]
-        for i in range(len(prefix)):
-            hit &= ~kept[prefix[:i] + (one,) + prefix[i + 1:]]
+        for i, x in enumerate(prefix):
+            drop = (~kept[prefix[:i] + (one,) + prefix[i + 1:]]
+                    if fails >> x & 1 else 0)
+            bad = bad | drop if every else bad & drop
+        hit = rows[prefix] & ~zeros[prefix] & bad
         if hit:
             return False, prefix + (lowest(hit),)
     return True, None

@@ -113,6 +113,9 @@ class TestQPrimary:
 
 # the predicates whose condition exempts a zero g-value
 WEAK = ("weakly_prime", "weakly_primary", "wsq_primary")
+# the predicates of one n-tuple, each a `tuple_scan` in classify
+N_TUPLE = ("prime", "weakly_prime", "primary", "weakly_primary", "sq_primary",
+           "wsq_primary")
 
 
 def brute_n_tuple(ring, name, members, rad):
@@ -323,8 +326,7 @@ def assert_witnesses_match(ring, sets=None):
     for members in sets:
         rad = radical_by_primes(ring, members)
         expected = [(name, None, brute_n_tuple(ring, name, members, rad))
-                    for name in ("prime", "weakly_prime", "primary",
-                                 "weakly_primary", "sq_primary", "wsq_primary")]
+                    for name in N_TUPLE]
         for k in (1, 2, 3):
             expected += [
                 ("absorbing", k,
@@ -364,6 +366,23 @@ class TestWitnessOracles:
     @pytest.mark.parametrize("which", range(3))
     def test_folds(self, folds, which):
         assert_witnesses_match(folds[which])
+
+    def test_fold_24_n_tuple(self, G):
+        # n = 4: primary fails a tuple on any of three prefix drops, the
+        # others only on all of them; the absorbing oracles are too slow
+        # here.  Of these sets only {4,6} tells a scan that drops just the
+        # first two prefix positions apart, on primary
+        ring = fold(G, 2, 4)
+        sets = [p.members for p in proper_hyperideals(ring)] + [
+            frozenset(s) for r in (1, 2)
+            for s in itertools.combinations(ring.carrier, r)]
+        for members in sets:
+            rad = radical_by_primes(ring, members)
+            for name in N_TUPLE:
+                t = brute_n_tuple(ring, name, members, rad)
+                assert classify_module._EVALUATORS[name](
+                    ring, members, None) == (t is None, t), (
+                    name, ring.subset_label(members))
 
     def test_certified_product(self, G, G_mod_0246):
         # two different factors: the lattice and the primes, and with them
