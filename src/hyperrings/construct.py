@@ -99,7 +99,7 @@ def direct_product(r1, r2):
                            map(value[table1[t1]].__getitem__, inner)))
         return out
 
-    ring = HyperringTable(
+    ring = HyperringTable._built(
         name=f"{r1.name}x{r2.name}", m=m, n=n, labels=labels,
         zero=pair[r1.zero][r2.zero], one=pair[r1.one][r2.one],
         f=combine(m, r1.f, r2.f, sums), g=combine(n, r1.g, r2.g, pair))
@@ -191,7 +191,7 @@ def _quotient(ring, q_members):
                         f"representatives ({ring.tuple_label(reps)}) give a different value")
             induced[name][key] = value
 
-    out = HyperringTable(
+    out = HyperringTable._built(
         name=f"{ring.name}/{ring.subset_label(q_members)}", m=m, n=n,
         labels=labels, zero=proj[ring.zero], one=proj[ring.one],
         f=induced["f"], g=induced["g"])
@@ -296,7 +296,7 @@ def subhyperring_table(ring, members):
     g = {}
     for t in itertools.product(order, repeat=ring.n):
         g[tuple(new_index[x] for x in t)] = new_index[ring.g[t]]
-    out = HyperringTable(
+    out = HyperringTable._built(
         name=f"{ring.name}|{ring.subset_label(members)}", m=ring.m, n=ring.n,
         labels=[ring.labels[x] for x in order],
         zero=new_index[ring.zero], one=new_index[e], f=f, g=g)

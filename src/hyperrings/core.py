@@ -16,15 +16,26 @@ also reads g's values as elements).  The last argument varies fastest, so
 the values over it form a contiguous row, and the scans compare whole rows
 instead of single entries.  Symmetry is one slice test, `_symmetric`, which
 the serializer shares; the element-wise commutativity walk runs only on a
-table it finds asymmetric.  A row that differs is expanded entry by entry
-only to report its violations, which come out in the same order and with
-the same text as an entry-by-entry scan.  The flat tables and the per-call
-memos live only for one validation call.
+table it finds asymmetric.  Two axioms are decided by one whole-table
+comparison: a commutative table is associative exactly when its leftmost
+nest, built flat, is symmetric (FINDINGS.md (xiii)), and multiplication by
+each distinct multiplier distributes when the two sides, laid out over the
+whole f table, are equal lists.  The row-wise scans of these two run only
+on a table that fails that comparison, to name its violations.  A row that
+differs is expanded entry by entry only to report its violations, which
+come out in the same order and with the same text as an entry-by-entry
+scan.  The flat tables and the per-call memos live only for one validation
+call.
 
 That scan, `validate_krasner_scan`, is the only source of violations.  At
 m > 2 or n > 2, `validate_krasner` first checks on the flat tables that f
 and g fold a valid (2,2)-reduct; such a table passes every axiom, and every
 valid table is one (FINDINGS.md (i), (iii)).  Others get the full scan.
+
+`HyperringTable(...)` checks that its tables are total over the carrier.
+Products, quotients, subhyperring tables and the reducts of folds are made
+by `HyperringTable._built`, which skips that check: they are built total
+from total tables (FINDINGS.md (xiii)).
 """
 from __future__ import annotations
 
@@ -120,26 +131,36 @@ class HyperringTable:
     def __init__(self, name, m, n, labels, zero, one, f, g):
         if m < 2 or n < 2:
             raise ValueError("arities m and n must be at least 2")
-        self.name = name
-        self.m = m
-        self.n = n
-        self.labels = tuple(labels)
-        if len(set(self.labels)) != len(self.labels):
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate element labels")
-        self.size = len(self.labels)
-        self.zero = zero
-        self.one = one
-        # constructions pass frozensets already; only other values are
+        # the parser passes frozensets already; only other values are
         # wrapped, in a copy, which halves the cost of a plain rewrap
-        self.f = dict(f)
-        for t, value in self.f.items():
+        f = dict(f)
+        for t, value in f.items():
             if type(value) is not frozenset:
-                self.f[t] = frozenset(value)
-        self.g = dict(g)
-        self.validation_waived = False
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self.memo = {}
+                f[t] = frozenset(value)
+        self._assign(name, m, n, labels, zero, one, f, dict(g))
         self._check_total()
+
+    @classmethod
+    def _built(cls, name, m, n, labels, zero, one, f, g):
+        """A table that a construction built total over its carrier, with
+        frozenset f-values and distinct labels, from total tables: f and g
+        are kept as given, and totality is not re-checked (FINDINGS.md
+        (xiii))."""
+        ring = cls.__new__(cls)
+        ring._assign(name, m, n, tuple(labels), zero, one, f, g)
+        return ring
+
+    def _assign(self, name, m, n, labels, zero, one, f, g):
+        self.name, self.m, self.n = name, m, n
+        self.labels, self.size = labels, len(labels)
+        self.zero, self.one = zero, one
+        self.f, self.g = f, g
+        self.validation_waived = False
+        self._index = {lab: i for i, lab in enumerate(labels)}
+        self.memo = {}
 
     def _check_total(self):
         """Name the first tuple, in product order, that f or g lacks or maps
@@ -269,9 +290,10 @@ def _mask_label(ring, mask):
 
 def _f_masks(ring):
     """F: each f-value as a bitmask, flat in itertools.product order."""
-    f = ring.f
-    return [sum(1 << x for x in f[t])
-            for t in itertools.product(range(ring.size), repeat=ring.m)]
+    values = list(map(ring.f.__getitem__,
+                      itertools.product(range(ring.size), repeat=ring.m)))
+    mask = {value: sum(1 << x for x in value) for value in set(values)}
+    return list(map(mask.__getitem__, values))
 
 
 def _g_values(ring):
@@ -286,7 +308,8 @@ def _singletons(values):
 
 
 def _rows(table, size):
-    """A flat table cut into rows over its last argument."""
+    """A flat table cut into consecutive slices of the given length: rows
+    over its last argument when that is the carrier size."""
     return [table[k:k + size] for k in range(0, len(table), size)]
 
 
@@ -349,7 +372,31 @@ def _check_commutative(ring, table, arity, axiom, render, out):
                 render(table[st]), render(table[t])))
 
 
-def _check_associativity(ring, T, arity, axiom, render, out):
+def _substitute(T, slabs):
+    """A flat mask table with each value of T replaced by the union of the
+    slabs of its members: the values of f(f(x..), y..) when T holds f(x..)
+    and slabs[a] holds f(a, y..) in product order.  A singleton's slab is
+    read off; the empty mask of a broken table gets zeros."""
+    unions = dict(zip(_singletons(range(len(slabs))), slabs))
+    for mask in set(T).difference(unions):
+        unions[mask] = reduce(lambda a, b: list(map(or_, a, b)),
+                              map(slabs.__getitem__, _members(mask)),
+                              [0] * len(slabs[0]))
+    return list(itertools.chain.from_iterable(map(unions.__getitem__, T)))
+
+
+def _nest_symmetric(T, size, arity):
+    """Whether the leftmost nest of a k-ary mask table T with no empty
+    value, f(f(x_1..x_k), x_(k+1)..x_(2k-1)) flat over (2k-1)-tuples, is
+    invariant under every permutation of its arguments.  On a commutative
+    T this holds exactly when every nesting agrees (FINDINGS.md (xiii))."""
+    return _symmetric(_substitute(T, _rows(T, size ** (arity - 1))), size)
+
+
+def _check_associativity(ring, T, arity, commutes, axiom, render, out):
+    # A commutative T whose leftmost nest is symmetric is associative, and
+    # every passing table is one (FINDINGS.md (xiii)); the scan below runs
+    # only on a table that fails that test, to name its violations.
     # Every nesting position is compared against the leftmost one over all
     # (2k-1)-tuples of a k-ary mask table T with no empty value, one row
     # over the last argument per (2k-2)-prefix.  For a cut before the last
@@ -359,6 +406,8 @@ def _check_associativity(ring, T, arity, axiom, render, out):
     # first k-1 arguments by a table that only lives for that prefix block:
     # a singleton reads the head row, a larger mask unions its members'.
     s = ring.size
+    if commutes and _nest_symmetric(T, s, arity):
+        return
     rows = _rows(T, s)
     bits = _singletons(range(s))
     members = {mask: _members(mask) for mask in set(T)}
@@ -461,36 +510,36 @@ def validate_canonical_hypergroup(ring):
 
 def _check_canonical_hypergroup(ring, F, out):
     entries_ok = _check_f_entries(ring, out)
-    if not _symmetric(F, ring.size):
+    commutes = _symmetric(F, ring.size)
+    if not commutes:
         _check_commutative(ring, ring.f, ring.m, "f-commutativity",
                            ring.subset_label, out)
     render = lambda mask: _mask_label(ring, mask)
     if entries_ok:
-        _check_associativity(ring, F, ring.m, "f-associativity", render, out)
+        _check_associativity(ring, F, ring.m, commutes, "f-associativity",
+                             render, out)
     _check_neutral(ring, F, ring.m, ring.zero, "f", "zero-scalar-neutral", render, out)
     inverses_ok = _check_inverses(ring, out)
     if entries_ok and inverses_ok:
         _check_reversibility(ring, F, out)
 
 
-def _distributivity_failures(phi, rows, members, m, s):
+def _distributivity_failures(phi, F, members, m, s):
     """(xs position, phi applied to f(xs), f(phi(xs))) for every m-tuple xs
     where multiplication by phi does not distribute, as bitmasks.  Both
-    sides are built one row over the last argument at a time."""
+    sides are built over the whole table and compared once; only a phi
+    that fails is walked entry by entry."""
     bit = [1 << y for y in phi]
     image = {mask: reduce(or_, map(bit.__getitem__, ms), 0)
              for mask, ms in members.items()}
-    lifted = phi
-    for _ in range(m - 2):
+    lifted = phi    # the index of phi(xs), for each xs
+    for _ in range(m - 1):
         lifted = [k * s + y for k in lifted for y in phi]
-    found = []
-    for head, (row, target) in enumerate(zip(rows, lifted)):
-        left = list(map(image.__getitem__, row))
-        right = list(map(rows[target].__getitem__, phi))
-        if left != right:
-            found += [(head * s + z, a, b)
-                      for z, (a, b) in enumerate(zip(left, right)) if a != b]
-    return found
+    left = list(map(image.__getitem__, F))
+    right = list(map(F.__getitem__, lifted))
+    if left == right:
+        return []
+    return [(j, a, b) for j, (a, b) in enumerate(zip(left, right)) if a != b]
 
 
 def _check_distributivity(ring, F, G, out):
@@ -500,7 +549,6 @@ def _check_distributivity(ring, F, G, out):
     # positions of a commutative g, say), so the failures are memoised per
     # phi.
     m, n, s = ring.m, ring.n, ring.size
-    rows = _rows(F, s)
     members = {mask: _members(mask) for mask in set(F)}
     failures = {}
     for i in range(n):
@@ -510,7 +558,7 @@ def _check_distributivity(ring, F, G, out):
             phi = tuple(G[base:base + s * stride:stride])
             found = failures.get(phi)
             if found is None:
-                found = failures[phi] = _distributivity_failures(phi, rows, members, m, s)
+                found = failures[phi] = _distributivity_failures(phi, F, members, m, s)
             for j, left, right in found:
                 out.append(Violation(
                     "distributivity",
@@ -533,18 +581,10 @@ def _check_zero_absorbing(ring, out):
 
 def _left_fold(rows, arity):
     """Flat mask table of the arity-fold of a binary hyperoperation given
-    by its mask rows over the second argument, built prefix by prefix.  A
-    singleton's row is read off; any other mask's row is the union of its
-    members' rows, all zero for the empty mask of a broken table."""
-    s = len(rows)
-    bits = _singletons(range(s))
-    fold = bits
+    by its mask rows over the second argument, built prefix by prefix."""
+    fold = _singletons(range(len(rows)))
     for _ in range(arity - 1):
-        ext = dict(zip(bits, rows))
-        for v in set(fold).difference(ext):
-            ext[v] = reduce(lambda a, b: list(map(or_, a, b)),
-                            map(rows.__getitem__, _members(v)), [0] * s)
-        fold = [v for x in fold for v in ext[x]]
+        fold = _substitute(fold, rows)
     return fold
 
 
@@ -554,9 +594,9 @@ def _is_fold_of_valid_reduct(ring):
     validate_krasner; the table then passes every axiom (FINDINGS.md)."""
     pairs = list(itertools.product(range(ring.size), repeat=2))
     fpad, gpad = (ring.zero,) * (ring.m - 2), (ring.one,) * (ring.n - 2)
-    reduct = HyperringTable(ring.name, 2, 2, ring.labels, ring.zero, ring.one,
-                            {p: ring.f[p + fpad] for p in pairs},
-                            {p: ring.g[p + gpad] for p in pairs})
+    reduct = HyperringTable._built(ring.name, 2, 2, ring.labels, ring.zero, ring.one,
+                                   {p: ring.f[p + fpad] for p in pairs},
+                                   {p: ring.g[p + gpad] for p in pairs})
     plus, times = (_rows(t, ring.size) for t in
                    (_f_masks(reduct), _singletons(_g_values(reduct))))
     return (_left_fold(plus, ring.m) == _f_masks(ring)
@@ -580,9 +620,11 @@ def validate_krasner_scan(ring):
     render = lambda mask: ring.label(mask.bit_length() - 1)
     out = []
     _check_canonical_hypergroup(ring, F, out)
-    if not _symmetric(G, ring.size):
+    commutes = _symmetric(G, ring.size)
+    if not commutes:
         _check_commutative(ring, ring.g, ring.n, "g-commutativity", ring.label, out)
-    _check_associativity(ring, masks, ring.n, "g-associativity", render, out)
+    _check_associativity(ring, masks, ring.n, commutes, "g-associativity",
+                         render, out)
     _check_distributivity(ring, F, G, out)
     _check_zero_absorbing(ring, out)
     _check_neutral(ring, masks, ring.n, ring.one, "g", "scalar-identity", render, out)

@@ -13,7 +13,7 @@ from hyperrings.core import ArityError, HyperringTable, validate_krasner
 from hyperrings.ideals import (ideal_from_labels, make_hyperideal,
                                proper_hyperideals)
 
-from conftest import enumerate_subhyperrings
+from conftest import enumerate_subhyperrings, fold, mutate
 
 
 def subset(ring, *labels):
@@ -197,3 +197,52 @@ class TestSubhyperrings:
 
     def test_04_has_identity_four(self, G):
         assert scalar_identity_in(G, subset(G, "0", "4")) == G.index("4")
+
+
+class TestBuiltTables:
+    """Products, quotients, subhyperring tables and the reducts of folds
+    are built without the totality check; each must be a table that the
+    checking constructor accepts, and builds the same, from the same
+    arguments."""
+
+    def test_built_tables_are_total(self, G, H, GxG, G_mod_0246, ONE, monkeypatch):
+        built = []
+        make = HyperringTable._built.__func__
+
+        def recording(cls, *args, **kwargs):
+            ring = make(cls, *args, **kwargs)
+            built.append((args, kwargs, ring))
+            return ring
+
+        monkeypatch.setattr(HyperringTable, "_built", classmethod(recording))
+        # fresh copies, so that no memo answers for a construction
+        g, g33, one33 = mutate(G, "G"), fold(G, 3, 3), fold(ONE, 3, 3)
+        h = mutate(H, "H")
+        for r1, r2 in ((g, g), (g, mutate(G_mod_0246, "G/{0,2,4,6}")),
+                       (g33, g33), (h, one33), (one33, h), (h, h)):
+            direct_product(r1, r2)
+        for ring in (g, g33, mutate(GxG, "GxG")):
+            for p in proper_hyperideals(ring):
+                quotient(ring, p)
+        quotient(h, frozenset({h.zero}))
+        for members in enumerate_subhyperrings(GxG):
+            subhyperring_table(GxG, members)
+        for m, n in ((3, 3), (2, 3), (3, 2)):
+            validate_krasner(fold(G, m, n))
+        monkeypatch.undo()
+
+        kinds = set()
+        for args, kwargs, ring in built:
+            ring._check_total()
+            assert all(type(value) is frozenset for value in ring.f.values())
+            assert len(set(ring.labels)) == len(ring.labels) == ring.size
+            checked = HyperringTable(*args, **kwargs)
+            assert checked.f == ring.f and checked.g == ring.g, ring.name
+            assert ((checked.name, checked.m, checked.n, checked.labels,
+                     checked.zero, checked.one)
+                    == (ring.name, ring.m, ring.n, ring.labels, ring.zero, ring.one))
+            kinds.add(next((c for c in "|/x" if c in ring.name), "reduct"))
+        assert kinds == {"x", "/", "|", "reduct"}
+        names = [ring.name for _, _, ring in built]
+        assert {"HxH", "H/{0}", "G^(2,3)"} <= set(names)
+        assert sum("|" in name for name in names) > 1

@@ -8,7 +8,9 @@ finds a table asymmetric.  The six functions below are the element-wise
 scans it replaced, kept verbatim as the reference: every tuple is
 evaluated on its own.  The reports must be equal violation by violation,
 in order, on the built-in corpus, on folds of G to other arities, and on
-randomly corrupted tables.
+randomly corrupted tables.  On random commutative tables, the whole-table
+decisions of associativity (a symmetric leftmost nest) and distributivity
+must pass exactly the tables on which the reference reports nothing.
 
 `validate_krasner` passes an (m,n)-fold of a valid (2,2)-reduct without a
 scan, `direct_product` passes a product of passing factors and `quotient`
@@ -17,6 +19,7 @@ does, on valid tables, on tables that are not folds, on folds whose reduct
 fails, on products with a failing factor and on a quotient of H.
 """
 import itertools
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -200,6 +203,61 @@ def test_reversibility_alone():
     assert [v.witness for v in hypergroup] == ["a in f(b,b), i=1",
                                                "a in f(b,b), i=2"]
     assert_same_report(ring)
+
+
+# -- whole-table decisions ------------------------------------------------
+
+def commutative_table(rng, arity, size, value):
+    """A random table on which every ordering of a tuple takes the value
+    drawn for its sorted form."""
+    drawn = {t: value() for t in
+             itertools.combinations_with_replacement(range(size), arity)}
+    return {t: drawn[tuple(sorted(t))]
+            for t in itertools.product(range(size), repeat=arity)}
+
+
+def random_commutative_rings(seed, count):
+    """Tables with random commutative f (set-valued, non-empty) and g of
+    arities 2 or 3 on 2 to 4 elements; zero and identity are not drawn."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n, size = rng.choice((2, 3)), rng.choice((2, 3)), rng.randint(2, 4)
+        density = rng.random()
+
+        def subset():
+            return (frozenset(x for x in range(size) if rng.random() < density)
+                    or frozenset({rng.randrange(size)}))
+
+        yield HyperringTable(
+            "random", m, n, [str(x) for x in range(size)], 0, 0,
+            commutative_table(rng, m, size, subset),
+            commutative_table(rng, n, size, lambda: rng.randrange(size)))
+
+
+def test_whole_table_decisions_match_the_reference():
+    verdicts = {"f-associativity": set(), "g-associativity": set(),
+                "distributivity": set()}
+    for ring in random_commutative_rings(29, 200):
+        F, G = core._f_masks(ring), core._g_values(ring)
+        for axiom, T, arity, render, reference in (
+                ("f-associativity", F, ring.m,
+                 lambda mask: core._mask_label(ring, mask), _check_f_associativity),
+                ("g-associativity", core._singletons(G), ring.n,
+                 lambda mask: ring.label(mask.bit_length() - 1), _check_g_associativity)):
+            assert core._symmetric(T, ring.size)
+            expected, out = [], []
+            reference(ring, expected)
+            verdict = core._nest_symmetric(T, ring.size, arity)
+            assert verdict == (not expected), (axiom, ring.f, ring.g)
+            core._check_associativity(ring, T, arity, True, axiom, render, out)
+            assert out == expected, (axiom, ring.f, ring.g)
+            verdicts[axiom].add(verdict)
+        expected, out = [], []
+        _check_distributivity(ring, expected)
+        core._check_distributivity(ring, F, G, out)
+        assert out == expected, (ring.f, ring.g)
+        verdicts["distributivity"].add(not out)
+    assert all(seen == {True, False} for seen in verdicts.values())
 
 
 # -- random corruptions ---------------------------------------------------
