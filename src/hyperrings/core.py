@@ -12,22 +12,20 @@ order, as int bitmasks of their values' members: `F` for f, and for g the
 singleton masks `1 << v`, since an operation is a hyperoperation whose
 values are singletons.  So associativity, the scalar neutral element and
 the left fold are each one routine, run on both tables (distributivity
-also reads g's values as elements).  The last argument varies fastest, so
-the values over it form a contiguous row, and the scans compare whole rows
-instead of single entries.  Symmetry is one slice test, `_symmetric`, which
-the serializer shares; the element-wise commutativity walk runs only on a
-table it finds asymmetric.  Two axioms are decided by one whole-table
-comparison: a commutative table is associative exactly when its leftmost
-nest, built flat, is symmetric (FINDINGS.md (xiii)), and multiplication by
-each distinct multiplier distributes when the two sides, laid out over the
-whole f table, are equal lists.  The row-wise scans of these two run only
-on a table that fails that comparison, to name its violations.  A row that
-differs is expanded entry by entry only to report its violations, which
-come out in the same order and with the same text as an entry-by-entry
-scan.  The flat tables and the per-call memos live only for one validation
-call.
+also reads g's values as elements).  Symmetry is one slice test,
+`_symmetric`, which the serializer shares; the element-wise commutativity
+walk runs only on a table it finds asymmetric.  Two axioms are decided by
+one whole-table comparison: a commutative table is associative exactly
+when its leftmost nest, built flat, is symmetric (FINDINGS.md (xiii)), and
+multiplication by each distinct multiplier distributes when the two sides,
+laid out over the whole f table, are equal lists.  Violations are named
+from the same flat lists: any other table has each of its nests built
+flat and compared with the leftmost, and a multiplier whose sides differ
+has them compared entry by entry.  Either way the violations come out in
+the same order and with the same text as an entry-by-entry scan.  The
+flat tables and the per-call memos live only for one validation call.
 
-That scan, `validate_krasner_scan`, is the only source of violations.  At
+The full scan, `validate_krasner_scan`, is the only source of violations.  At
 m > 2 or n > 2, `validate_krasner` first checks on the flat tables that f
 and g fold a valid (2,2)-reduct; such a table passes every axiom, and every
 valid table is one (FINDINGS.md (i), (iii)).  Others get the full scan.
@@ -42,7 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce, wraps
-from operator import and_, or_
+from operator import and_, ne, or_
 
 
 class ArityError(ValueError):
@@ -313,32 +311,6 @@ def _rows(table, size):
     return [table[k:k + size] for k in range(0, len(table), size)]
 
 
-def _cuts(size, arity):
-    """Flat-index arithmetic for the nesting cuts before the last one.
-
-    Over (2k-2)-prefixes p of a k-ary table, the inner tuple of cut c is
-    p[c:c + k], at position p // stride % window; the outer tuple with t in
-    place of the inner one is the row p[:c] + (t,) + p[c + k:], at
-    p // high * size * stride + t * stride + p % stride.
-    """
-    return [(size ** (arity - 2 - cut), size ** arity, size ** (2 * arity - 2 - cut))
-            for cut in range(arity - 1)]
-
-
-def _report_rows(ring, axiom, prefix, arity, rows, render, out):
-    """Violations of one prefix block: rows[cut][z] is the value nested at
-    `cut` for the arguments prefix + (z,), prefix a flat (2k-2)-tuple index."""
-    args = _digits(ring.size, prefix, 2 * arity - 2)
-    base = rows[0]
-    for z in range(ring.size):
-        for cut in range(1, len(rows)):
-            if rows[cut][z] != base[z]:
-                out.append(Violation(
-                    axiom,
-                    f"args=({ring.tuple_label(args + (z,))}) nest 0 vs nest {cut}",
-                    render(base[z]), render(rows[cut][z])))
-
-
 def _check_f_entries(ring, out):
     ok = True
     for t in itertools.product(range(ring.size), repeat=ring.m):
@@ -385,52 +357,43 @@ def _substitute(T, slabs):
     return list(itertools.chain.from_iterable(map(unions.__getitem__, T)))
 
 
+def _nest(T, size, arity, cut):
+    """The nest of a k-ary mask table T at a cut c, flat over
+    (2k-1)-tuples: f(x_1..x_c, f(x_(c+1)..x_(c+k)), x_(c+k+1)..x_(2k-1)).
+    For each c-prefix, the block of T under it holds one slab per value of
+    x_(c+1), and T's values at the inner tuples select them."""
+    width = size ** (arity - 1 - cut)
+    block = size * width
+    return list(itertools.chain.from_iterable(
+        _substitute(T, _rows(T[p * block:(p + 1) * block], width))
+        for p in range(size ** cut)))
+
+
 def _nest_symmetric(T, size, arity):
     """Whether the leftmost nest of a k-ary mask table T with no empty
-    value, f(f(x_1..x_k), x_(k+1)..x_(2k-1)) flat over (2k-1)-tuples, is
-    invariant under every permutation of its arguments.  On a commutative
-    T this holds exactly when every nesting agrees (FINDINGS.md (xiii))."""
-    return _symmetric(_substitute(T, _rows(T, size ** (arity - 1))), size)
+    value is invariant under every permutation of its arguments.  On a
+    commutative T this holds exactly when every nesting agrees (FINDINGS.md
+    (xiii))."""
+    return _symmetric(_nest(T, size, arity, 0), size)
 
 
 def _check_associativity(ring, T, arity, commutes, axiom, render, out):
     # A commutative T whose leftmost nest is symmetric is associative, and
-    # every passing table is one (FINDINGS.md (xiii)); the scan below runs
-    # only on a table that fails that test, to name its violations.
-    # Every nesting position is compared against the leftmost one over all
-    # (2k-1)-tuples of a k-ary mask table T with no empty value, one row
-    # over the last argument per (2k-2)-prefix.  For a cut before the last
-    # the inner value is fixed by the prefix, so the row is the union of
-    # the T-rows its members select.  At the last cut the inner value runs
-    # along the row, and each of its masks is extended through the prefix's
-    # first k-1 arguments by a table that only lives for that prefix block:
-    # a singleton reads the head row, a larger mask unions its members'.
+    # every passing table is one (FINDINGS.md (xiii)).  On any other T each
+    # nest is compared with the leftmost as a whole list, and the entries
+    # where they differ are named by their (2k-1)-tuple, then by cut.
     s = ring.size
     if commutes and _nest_symmetric(T, s, arity):
         return
-    rows = _rows(T, s)
-    bits = _singletons(range(s))
-    members = {mask: _members(mask) for mask in set(T)}
-    unions = {mask: ms for mask, ms in members.items() if len(ms) > 1}
-    cuts = _cuts(s, arity)
-    width = len(rows)
-    for head, head_row in enumerate(rows):
-        extend = dict(zip(bits, head_row))
-        for mask, ms in unions.items():
-            extend[mask] = reduce(or_, map(head_row.__getitem__, ms))
-        for tail, tail_row in enumerate(rows):
-            prefix = head * width + tail
-            nested = []
-            for stride, window, high in cuts:
-                base = prefix // high * s * stride + prefix % stride
-                first, *rest = members[T[prefix // stride % window]]
-                row = rows[base + first * stride]
-                for t in rest:
-                    row = list(map(or_, row, rows[base + t * stride]))
-                nested.append(row)
-            nested.append(list(map(extend.__getitem__, tail_row)))
-            if nested.count(nested[0]) != len(nested):
-                _report_rows(ring, axiom, prefix, arity, nested, render, out)
+    nests = [_nest(T, s, arity, cut) for cut in range(arity)]
+    left = nests[0]
+    differ = sorted((j, cut) for cut in range(1, arity) if nests[cut] != left
+                    for j in itertools.compress(itertools.count(), map(ne, nests[cut], left)))
+    for j, cut in differ:
+        out.append(Violation(
+            axiom,
+            f"args=({ring.tuple_label(_digits(s, j, 2 * arity - 1))}) nest 0 vs nest {cut}",
+            render(left[j]), render(nests[cut][j])))
 
 
 def _check_neutral(ring, T, arity, e, op, axiom, render, out):

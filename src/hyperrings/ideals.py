@@ -423,17 +423,24 @@ def _radical_by_powers(ring, members):
 
 
 def _power_chain(ring, a, count):
-    """g_power(ring, a, s) for s = 1, ..., count, one g lookup each.
+    """g_power(ring, a, s) for s = 1, ..., count, one g lookup each, up to
+    the first repeated fold state.
 
     g_product folds a^(s) from the left in groups: g(a^n), then whole
     groups a^(n-1), with the identity padding only the last group.  So
     each power is the head of the whole groups before it with its last
     group a^r 1^(n-1-r) folded in, and at r = n-1 it is the next head.
+    The state (head, r) fixes the power and every later state, so once a
+    state repeats, every later power is one the chain has yielded.
     """
     g, n, one = ring.g, ring.n, ring.one
     tails = [(a,) * r + (one,) * (n - 1 - r) for r in range(n)]
     head, r = a, 0
+    seen = set()
     for _ in range(count):
+        if (head, r) in seen:
+            return
+        seen.add((head, r))
         value = g[(head,) + tails[r]]
         yield value
         head, r = (value, 1) if r == n - 1 else (head, r + 1)

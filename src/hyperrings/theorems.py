@@ -60,7 +60,6 @@ MAX_SUBRING = 12
 class TheoremReport:
     theorem_id: str
     title: str
-    scope: str
     instances: int = 0
     failures: list = field(default_factory=list)
 
@@ -139,9 +138,6 @@ class _Harness:
                 for p in propers:
                     if q.members <= p.members:
                         yield ring, q, table, proj, p
-
-    def scope_name(self):
-        return ",".join(r.name for r in self.structures)
 
 
 def _unless(ok, detail):
@@ -612,7 +608,7 @@ THEOREM_IDS = [tid for tid, _, _ in _REGISTRY]
 def _run(h, theorem_id, title, checker):
     """The report of one checker: one instance per yield, each failure
     prefixed with the name of the ring it was found in."""
-    report = TheoremReport(theorem_id, title, h.scope_name())
+    report = TheoremReport(theorem_id, title)
     for ring, failures in checker(h):
         report.instances += 1
         if failures:

@@ -135,7 +135,6 @@ class TestRunAll:
                 twice = run_theorem(tid, structures)
                 single = run_theorem(tid, once)
                 assert twice.instances == single.instances, tid
-                assert twice.scope == single.scope
                 assert single.instances
 
     def test_corrupted_structure_refused(self, G):

@@ -1,16 +1,19 @@
-"""Row-wise axiom scans against the element-wise reference, and the
+"""Whole-table axiom scans against the element-wise reference, and the
 structural fronts against the full scan.
 
 `validate_krasner_scan` runs the associativity, neutral-element,
-reversibility and distributivity scans on flat tables, one row (or strided
-line) of values at a time, and walks commutativity only where a slice test
-finds a table asymmetric.  The six functions below are the element-wise
-scans it replaced, kept verbatim as the reference: every tuple is
-evaluated on its own.  The reports must be equal violation by violation,
-in order, on the built-in corpus, on folds of G to other arities, and on
-randomly corrupted tables.  On random commutative tables, the whole-table
-decisions of associativity (a symmetric leftmost nest) and distributivity
-must pass exactly the tables on which the reference reports nothing.
+reversibility and distributivity scans on flat tables: associativity
+compares whole nests, reversibility one strided line of values at a time,
+and commutativity is walked only where a slice test finds a table
+asymmetric.  The six functions below are the element-wise scans it
+replaced, kept verbatim as the reference: every tuple is evaluated on its
+own.  The reports must be equal violation by violation, in order, on the
+built-in corpus, on folds of G to other arities, and on randomly corrupted
+tables.  On random commutative tables, the whole-table decisions of
+associativity (a symmetric leftmost nest) and distributivity must pass
+exactly the tables on which the reference reports nothing; on random
+tables drawn entry by entry, the nests alone must name exactly the
+reference's associativity violations.
 
 `validate_krasner` passes an (m,n)-fold of a valid (2,2)-reduct without a
 scan, `direct_product` passes a product of passing factors and `quotient`
@@ -216,9 +219,15 @@ def commutative_table(rng, arity, size, value):
             for t in itertools.product(range(size), repeat=arity)}
 
 
-def random_commutative_rings(seed, count):
-    """Tables with random commutative f (set-valued, non-empty) and g of
-    arities 2 or 3 on 2 to 4 elements; zero and identity are not drawn."""
+def free_table(rng, arity, size, value):
+    """A random table, drawn entry by entry."""
+    return {t: value() for t in itertools.product(range(size), repeat=arity)}
+
+
+def random_rings(seed, count, table=commutative_table):
+    """Tables with random f (set-valued, non-empty) and g of arities 2 or 3
+    on 2 to 4 elements, drawn by `table`; zero and identity are not
+    drawn."""
     rng = random.Random(seed)
     for _ in range(count):
         m, n, size = rng.choice((2, 3)), rng.choice((2, 3)), rng.randint(2, 4)
@@ -230,20 +239,23 @@ def random_commutative_rings(seed, count):
 
         yield HyperringTable(
             "random", m, n, [str(x) for x in range(size)], 0, 0,
-            commutative_table(rng, m, size, subset),
-            commutative_table(rng, n, size, lambda: rng.randrange(size)))
+            table(rng, m, size, subset),
+            table(rng, n, size, lambda: rng.randrange(size)))
+
+
+def associativity_cases(ring):
+    """(axiom, mask table, arity, render, reference scan) for f and g."""
+    return (("f-associativity", core._f_masks(ring), ring.m,
+             lambda mask: core._mask_label(ring, mask), _check_f_associativity),
+            ("g-associativity", core._singletons(core._g_values(ring)), ring.n,
+             lambda mask: ring.label(mask.bit_length() - 1), _check_g_associativity))
 
 
 def test_whole_table_decisions_match_the_reference():
     verdicts = {"f-associativity": set(), "g-associativity": set(),
                 "distributivity": set()}
-    for ring in random_commutative_rings(29, 200):
-        F, G = core._f_masks(ring), core._g_values(ring)
-        for axiom, T, arity, render, reference in (
-                ("f-associativity", F, ring.m,
-                 lambda mask: core._mask_label(ring, mask), _check_f_associativity),
-                ("g-associativity", core._singletons(G), ring.n,
-                 lambda mask: ring.label(mask.bit_length() - 1), _check_g_associativity)):
+    for ring in random_rings(29, 200):
+        for axiom, T, arity, render, reference in associativity_cases(ring):
             assert core._symmetric(T, ring.size)
             expected, out = [], []
             reference(ring, expected)
@@ -252,11 +264,22 @@ def test_whole_table_decisions_match_the_reference():
             core._check_associativity(ring, T, arity, True, axiom, render, out)
             assert out == expected, (axiom, ring.f, ring.g)
             verdicts[axiom].add(verdict)
+        F, G = core._f_masks(ring), core._g_values(ring)
         expected, out = [], []
         _check_distributivity(ring, expected)
         core._check_distributivity(ring, F, G, out)
         assert out == expected, (ring.f, ring.g)
         verdicts["distributivity"].add(not out)
+    assert all(seen == {True, False} for seen in verdicts.values())
+    # tables drawn entry by entry: the nests alone decide and name
+    verdicts = {"f-associativity": set(), "g-associativity": set()}
+    for ring in random_rings(30, 200, free_table):
+        for axiom, T, arity, render, reference in associativity_cases(ring):
+            expected, out = [], []
+            reference(ring, expected)
+            core._check_associativity(ring, T, arity, False, axiom, render, out)
+            assert out == expected, (axiom, ring.f, ring.g)
+            verdicts[axiom].add(not out)
     assert all(seen == {True, False} for seen in verdicts.values())
 
 
