@@ -37,8 +37,8 @@ from operator import itemgetter
 
 from .core import g_product, memoised
 from .ideals import (Hyperideal, ImproperIdealError, complement, lowest,
-                     mask_of, prime_hyperideals, radical_by_primes, row_masks,
-                     tuple_scan)
+                     mask_of, prime_hyperideals, prime_scan, radical_by_primes,
+                     row_masks, tuple_scan)
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -216,7 +216,7 @@ def _kn_absorbing_q_primary_eval(ring, members, k):
 # absorbing evaluators count minimal primes on the radicals of a passing
 # table and scan every other member set
 _EVALUATORS = {
-    "prime": lambda ring, p, k: tuple_scan(ring, p, complement(ring, p)),
+    "prime": lambda ring, p, k: prime_scan(ring, p),
     "weakly_prime": lambda ring, p, k: tuple_scan(
         ring, p, complement(ring, p), weak=True),
     "primary": lambda ring, p, k: tuple_scan(

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (ArityError, HyperringTable, ValidationReport, Violation,
-                   f_extend, memoised)
+                   _first_read, f_extend, memoised)
 from .ideals import (ImproperIdealError, _is_closed, _members_of,
                      make_hyperideal, product_pack, worklist_closure)
 
@@ -57,11 +57,11 @@ class Homomorphism:
     def injective(self):
         return len(set(self.mapping)) == len(self.mapping)
 
-    @property
+    @_first_read
     def surjective(self):
         return len(set(self.mapping)) == self.target.size
 
-    @property
+    @_first_read
     def kernel(self):
         z = self.target.zero
         return frozenset(x for x, y in enumerate(self.mapping) if y == z)

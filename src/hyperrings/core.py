@@ -96,9 +96,9 @@ def memoised(tag):
 
 
 class _first_read:
-    """functools.cached_property, but stored with setattr: cached_property
-    writes through the instance __dict__, which on CPython 3.11 makes every
-    later attribute load on the instance about twice as slow."""
+    """functools.cached_property, but stored with object.__setattr__, as a
+    frozen dataclass allows: cached_property writes the instance __dict__,
+    which on CPython 3.11 makes later attribute loads about twice as slow."""
 
     def __init__(self, compute):
         self.compute, self.name = compute, compute.__name__
@@ -107,7 +107,7 @@ class _first_read:
         if ring is None:
             return self
         value = self.compute(ring)
-        setattr(ring, self.name, value)
+        object.__setattr__(ring, self.name, value)
         return value
 
 

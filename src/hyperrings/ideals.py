@@ -381,9 +381,14 @@ def prime_hyperideals(ring):
                 for p in prime_hyperideals(parent) if q_members <= p.members}
     else:
         return [p for p in enumerate_hyperideals(ring)
-                if p.proper
-                and tuple_scan(ring, p.members, complement(ring, p.members))[0]]
+                if p.proper and prime_scan(ring, p.members)[0]]
     return [p for p in enumerate_hyperideals(ring) if p.members in keep]
+
+
+@memoised("prime_scan")
+def prime_scan(ring, members):
+    """prime_hyperideals' scan of a member set, which is_prime reads too."""
+    return tuple_scan(ring, members, complement(ring, members))
 
 
 def _members_of(ideal_or_set):

@@ -2,15 +2,17 @@
 
 Each registered checker quantifies a theorem's hypothesis over everything
 available in the given structures (hyperideals, elements, bounded families,
-products of two or three structures, quotient projections,
-subhyperrings), each structure counted once.  A checker
-is a generator: for every instance that satisfies the hypothesis it yields
-`(ring, failures)`, where failures lists the violations of the conclusion
-as detail strings, empty when the conclusion holds, and is rendered only
-on failure (`_unless`).  One driver, `_run`, turns the yields into a
-`TheoremReport`: one instance per yield, each failure prefixed with the
-ring's name.  A report is vacuous when nothing satisfied the hypothesis;
-vacuity is reported, never hidden.
+products of two or three structures, quotient projections, subhyperrings),
+each structure counted once.  A checker is a generator: for every instance
+that satisfies the hypothesis it yields `(ring, failures)`, where failures
+lists the violations of the conclusion as detail strings, empty when the
+conclusion holds; a detail is rendered only when its instance fails.
+Instances are decided on bitmasks built once per ideal or per table, not
+one Python pass each: Thm 3.7 on its tuple masks, in one plain loop, and
+Thm 4.9 on the row masks of P and {0} and the masks of each <r>.  One
+driver, `_run`, turns the yields into a `TheoremReport`: one instance per
+yield, each failure prefixed with the ring's name.  A report is vacuous
+when nothing satisfied the hypothesis; vacuity is reported, never hidden.
 
 The five product checkers (Thm 2.3, Cor 2.4, Thm 3.9, Thm 4.15, Cor
 4.16) read one pool, `_Harness.product_ideals`: each product hyperideal
@@ -23,8 +25,8 @@ instances at 12 elements, mirroring the size of the built-in corpus.  The
 subhyperring bound limits the lattice search too: no set above it is
 built, and each structure's bounded pool is memoised with its tables.
 So are Thm 3.7's n-tuples of hyperideals, with the masks of their
-g-products, squares and drops: the memos hold derived data of a table,
-never a verdict or a report.
+g-products, squares and drops, and Thm 4.9's masks of each <r>: the memos
+hold derived data of a table, never a verdict or a report.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from .core import g_product, memoised
 from .ideals import (closed_sets, enumerate_hyperideals, factor_ideals,
                      generated_by, hyperideal_product, make_hyperideal, mask_of,
                      proper_hyperideals, quotient_sets, radical_by_primes,
-                     radical_by_powers)
+                     radical_by_powers, row_masks)
 
 # a cap in elements at every arity: a product of passing factors skips the
 # axiom scan, so run_all([G^(3,3)]) builds its 36-element product in ~3 s
@@ -332,11 +334,13 @@ def _check_3_7(h):
             for family, prod, squares, drops in tuples:
                 if prod & outside:
                     continue
-                ok = any(not sq & outside or not drop & beyond
-                         for sq, drop in zip(squares, drops))
-                yield ring, _unless(ok, lambda: (
-                    f"sq-primary {p.render()} with ideal tuple "
-                    f"{[i.render() for i in family]} violating the conclusion"))
+                for sq, drop in zip(squares, drops):
+                    if not sq & outside or not drop & beyond:
+                        yield ring, ()
+                        break
+                else:
+                    yield ring, [f"sq-primary {p.render()} with ideal tuple "
+                                 f"{[i.render() for i in family]} violating the conclusion"]
 
 
 def _check_3_8(h):
@@ -429,24 +433,35 @@ def _check_4_8(h):
                 f"square of weakly primary {p.render()} not wsq-primary"))
 
 
-def _trichotomy(ring, p, rad, r):
-    """Thm 4.9's alternative at r: <r> inside P_r, or P_r inside rad P or
-    inside A_r."""
-    pair = quotient_sets(ring, p, r)
-    return (generated_by(ring, r).raw <= pair.p_r or pair.p_r <= rad
-            or pair.p_r <= pair.a_r)
+@memoised("anchors")
+def _anchors(ring):
+    """For each element r: the mask of <r>'s raw set g(R, r, 1^(n-2)), and
+    r's key (r, 1^(n-2)) in the row masks."""
+    return [(mask_of(generated_by(ring, r).raw), (r,) + (ring.one,) * (ring.n - 2))
+            for r in ring.carrier]
+
+
+def _anchor_rows(ring, members):
+    """P_r and A_r (`quotient_sets`) of a member set as masks by r's key: on
+    a passing table g commutes, so they are the row masks of the set and of
+    {0} (FINDINGS.md (xiv)); any other table reads them off its rows of g."""
+    if ring.validation.passed:
+        return row_masks(ring, members), row_masks(ring, frozenset({ring.zero}))
+    pairs = [(key, quotient_sets(ring, members, key[0])) for _, key in _anchors(ring)]
+    return [{k: mask_of(getattr(pair, name)) for k, pair in pairs} for name in ("p_r", "a_r")]
 
 
 def _check_4_9(h):
-    # the paper's claim: P is wsq-primary exactly when the trichotomy holds
-    # at every r.  It is refuted at n = 3: on G^(2,3) and G^(3,3), {0,6} is
-    # wsq-primary but the trichotomy fails at r = 2 (ROADMAP.md open item
-    # 1(b), open)
+    # the paper's claim: P is wsq-primary exactly when at every r, <r> lies
+    # in P_r, or P_r in rad P or in A_r.  Refuted at n = 3: on G^(2,3) and
+    # G^(3,3), {0,6} is wsq-primary, yet r = 2 fails (ROADMAP.md open item 1(b))
     for ring, p in h.ideals:
         lhs = is_wsq_primary(p)
-        rad = radical_by_primes(ring, p)
-        bad_r = next((r for r in ring.carrier
-                      if not _trichotomy(ring, p, rad, r)), None)
+        beyond = ~mask_of(radical_by_primes(ring, p))
+        p_rows, a_rows = _anchor_rows(ring, p.members)
+        bad_r = next((r for r, (raw, key) in enumerate(_anchors(ring))
+                      if raw & ~p_rows[key] and p_rows[key] & beyond
+                      and p_rows[key] & ~a_rows[key]), None)
         rhs = bad_r is None
         yield ring, _unless(lhs == rhs, lambda: (
             f"{p.render()}: wsq={lhs} but P_r trichotomy={rhs}"

@@ -148,6 +148,25 @@ class TestImageAndPreimage:
         table, proj = quotient(G, q)
         assert image_ideal(proj, q).members == {table.zero}
 
+    def test_map_properties_are_read_once(self, corpus, G, GxG):
+        """surjective and kernel agree with a fresh computation, and are
+        computed on first read, once per map: quotient builds its
+        projection without them."""
+        fresh = mutate(G, "G'")
+        maps = [quotient(fresh, q)[1] for q in proper_hyperideals(fresh)]
+        assert not any({"surjective", "kernel"} & set(vars(h)) for h in maps)
+        maps += [quotient(ring, q)[1] for ring in corpus
+                 for q in proper_hyperideals(ring)]
+        maps.append(Homomorphism(G, GxG, tuple(x * G.size for x in G.carrier)))
+        for h in maps:
+            image = set(h.mapping)
+            zero = h.target.zero
+            assert h.surjective == (len(image) == h.target.size)
+            assert h.kernel == {x for x in h.source.carrier if h(x) == zero}
+            assert h.kernel is h.kernel
+            assert {"surjective", "kernel"} <= set(vars(h))
+        assert not maps[-1].surjective and maps[0].surjective
+
     def test_image_requires_kernel_inside(self, G):
         q = ideal_from_labels(G, "0,6")
         table, proj = quotient(G, q)

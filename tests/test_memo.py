@@ -21,10 +21,11 @@ from hyperrings.ideals import (ImproperIdealError, _g_row, _is_closed,
                                absorption_index, enumerate_hyperideals,
                                factor_ideals, generated_by, hyperideal_product,
                                ideal_from_labels, make_hyperideal,
-                               prime_hyperideals, radical_by_powers,
-                               radical_by_primes, row_masks, value_rows)
-from hyperrings.theorems import (TheoremReport, _ideal_tuples, _subring_pool,
-                                 run_all, run_theorem)
+                               prime_hyperideals, prime_scan,
+                               radical_by_powers, radical_by_primes, row_masks,
+                               value_rows)
+from hyperrings.theorems import (TheoremReport, _anchors, _ideal_tuples,
+                                 _subring_pool, run_all, run_theorem)
 
 from conftest import memo_entries
 
@@ -44,7 +45,7 @@ TAGS = {"product", "quotient", "hyperideals", "subring_pool",
         "radical_by_primes", "radical_by_powers", "classify", "absorption",
         "value_rows", "rows", "prime_hyperideals", "outcome", "generated",
         "g_row", "closed", "ideal_tuples", "ideal_product", "factor_ideals",
-        "squares"}
+        "squares", "prime_scan", "anchors"}
 
 
 class TestMemoIdentity:
@@ -67,12 +68,14 @@ class TestMemoIdentity:
             "value_rows": lambda: value_rows(G),
             "row_masks": lambda: row_masks(G, p.members),
             "prime_hyperideals": lambda: prime_hyperideals(G),
+            "prime_scan": lambda: prime_scan(G, p.members),
             "_outcome": lambda: _outcome(G, p.members, "wsq_primary", None),
             "_squares": lambda: _squares(G),
             "generated_by": lambda: generated_by(G, G.index("2")),
             "_g_row": lambda: _g_row(G, G.index("2")),
             "_is_closed": lambda: _is_closed(G, p.members),
             "_ideal_tuples": lambda: _ideal_tuples(G),
+            "_anchors": lambda: _anchors(G),
             "hyperideal_product": lambda: hyperideal_product(G, [p, p]),
             "factor_ideals": lambda: factor_ideals(direct_product(G, G)),
         }

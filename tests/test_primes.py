@@ -16,12 +16,13 @@ uncertified copy of the product.
 import pytest
 
 from hyperrings import ideals
+from hyperrings.classify import _outcome, is_prime
 from hyperrings.construct import direct_product, quotient
 from hyperrings.corpus import document_text
 from hyperrings.documents import parse_document
 from hyperrings.ideals import (complement, enumerate_hyperideals,
-                               prime_hyperideals, proper_hyperideals,
-                               tuple_scan)
+                               prime_hyperideals, prime_scan,
+                               proper_hyperideals, tuple_scan)
 from hyperrings.theorems import _Harness, _ideal_tuples
 
 from conftest import fold, load_gen, mutate
@@ -142,6 +143,29 @@ def test_certified_primes_run_no_scan(monkeypatch):
     copy = mutate(G, "G'")
     prime_hyperideals(copy)
     assert scans and set(scans) == {copy}
+
+
+def test_one_prime_scan_per_member_set(monkeypatch):
+    """On tables without a certificate, the prime search and the prime
+    predicate read one memoised scan per proper hyperideal, witness and
+    all: none is scanned twice."""
+    rings = [parse_document(item.text) for item in load_gen().krasner_corpus()]
+    scans = []
+
+    def counted(ring, *args, **kwargs):
+        scans.append(ring)
+        return tuple_scan(ring, *args, **kwargs)
+
+    monkeypatch.setattr(ideals, "tuple_scan", counted)
+    propers = [(ring, p) for ring in rings for p in proper_hyperideals(ring)]
+    for ring in rings:
+        prime_hyperideals(ring)
+    assert len(scans) == len(propers) > 200
+    for ring, p in propers:
+        assert is_prime(p) == (p in prime_hyperideals(ring))
+        assert _outcome(ring, p.members, "prime", None) is prime_scan(
+            ring, p.members)
+    assert len(scans) == len(propers)
 
 
 # -- Thm 3.7's tuples on products -----------------------------------------

@@ -1,20 +1,25 @@
+import functools
+import importlib
 import itertools
 from pathlib import Path
 
 import pytest
 
-from hyperrings.classify import _squares, classify
+from hyperrings.classify import _squares, classify, is_sq_primary, is_wsq_primary
 from hyperrings.construct import direct_product
-from hyperrings.ideals import (enumerate_hyperideals, mask_of,
-                               proper_hyperideals, radical_by_primes)
-from hyperrings.theorems import (KNOWN_IMPLICATIONS, THEOREM_IDS,
-                                 StructureRejectedError, _ideal_tuples,
-                                 implication_matrix, run_all, run_theorem,
-                                 summary_line)
+from hyperrings.ideals import (enumerate_hyperideals, generated_by, mask_of,
+                               proper_hyperideals, quotient_sets,
+                               radical_by_primes, row_masks)
+from hyperrings.theorems import (_REGISTRY, KNOWN_IMPLICATIONS, THEOREM_IDS,
+                                 StructureRejectedError, _anchor_rows,
+                                 _anchors, _Harness, _ideal_tuples, _run,
+                                 _unless, implication_matrix, run_all,
+                                 run_theorem, summary_line)
 
 from conftest import fold, mutate
 
 GOLDEN = Path(__file__).parent / "golden"
+theorems_module = importlib.import_module("hyperrings.theorems")
 
 
 class TestRegistry:
@@ -194,6 +199,129 @@ def test_thm_3_7_masks_decide_as_the_sets_did(corpus, folds):
                 decisions.add(inside)
                 verdicts.add(ok)
     assert decisions == verdicts == {True, False}
+
+
+# -- the per-instance loops that the mask checkers replaced, as oracles ------
+
+def _check_3_7_by_any(h, hypothesis=is_sq_primary):
+    """Thm 3.7 with one `any` over the masks and one `_unless` per
+    instance."""
+    for ring in h.structures:
+        sq_ideals = [p for p in proper_hyperideals(ring) if hypothesis(p)]
+        if not sq_ideals:
+            continue
+        tuples = _ideal_tuples(ring)
+        for p in sq_ideals:
+            outside = ~mask_of(p.members)
+            beyond = ~mask_of(radical_by_primes(ring, p))
+            for family, prod, squares, drops in tuples:
+                if prod & outside:
+                    continue
+                ok = any(not sq & outside or not drop & beyond
+                         for sq, drop in zip(squares, drops))
+                yield ring, _unless(ok, lambda: (
+                    f"sq-primary {p.render()} with ideal tuple "
+                    f"{[i.render() for i in family]} violating the conclusion"))
+
+
+def _trichotomy(ring, p, rad, r):
+    """Thm 4.9's alternative at r on the sets of `quotient_sets`: <r>
+    inside P_r, or P_r inside rad P or inside A_r."""
+    pair = quotient_sets(ring, p, r)
+    return (generated_by(ring, r).raw <= pair.p_r or pair.p_r <= rad
+            or pair.p_r <= pair.a_r)
+
+
+def _check_4_9_by_sets(h):
+    for ring, p in h.ideals:
+        lhs = is_wsq_primary(p)
+        rad = radical_by_primes(ring, p)
+        bad_r = next((r for r in ring.carrier
+                      if not _trichotomy(ring, p, rad, r)), None)
+        rhs = bad_r is None
+        yield ring, _unless(lhs == rhs, lambda: (
+            f"{p.render()}: wsq={lhs} but P_r trichotomy={rhs}"
+            + (f" (r={ring.label(bad_r)})" if bad_r is not None else "")))
+
+
+def _noncommuting_fold(G33):
+    """G^(3,3) with g(2,3,1) = 0 instead of 6, waived like H: g no longer
+    commutes, so g(r, a, 1) and the row at (r, 1) part ways.  Thm 4.9
+    fails {0,6} at r = 3; read off the rows at (r, 1), it would name r = 2."""
+    zero, one, two, three = (G33.index(x) for x in "0123")
+    ring = mutate(G33, "G33'", g_overrides={(two, three, one): zero})
+    ring.validation_waived = True
+    return ring
+
+
+@pytest.fixture(scope="module")
+def oracle_structures(corpus, folds, G, ONE, H, G33):
+    return {"corpus": corpus, "G^(3,3)": [folds[0]], "G^(2,3)": [folds[1]],
+            "G^(3,2)": [folds[2]],
+            "ONE x G, G x ONE": [direct_product(ONE, G), direct_product(G, ONE)],
+            "H": [H], "G^(3,3) without commutative g": [_noncommuting_fold(G33)]}
+
+
+@pytest.mark.parametrize("theorem_id, oracle", [
+    ("Thm 3.7", _check_3_7_by_any), ("Thm 4.9", _check_4_9_by_sets)])
+def test_mask_checkers_report_as_their_oracles(oracle_structures, theorem_id,
+                                               oracle):
+    """Same render, so same instance count and failures in the same order,
+    on every structure set; the n = 3 folds fail Thm 4.9."""
+    entry = next(e for e in _REGISTRY if e[0] == theorem_id)
+    failing = set()
+    for name, structures in oracle_structures.items():
+        got = run_theorem(theorem_id, structures)
+        want = _run(_Harness(structures), theorem_id, entry[1], oracle)
+        assert (got.render(), got.instances) == (want.render(), want.instances), name
+        if got.failures:
+            failing.add(name)
+    if theorem_id == "Thm 4.9":
+        assert {"G^(3,3)", "G^(2,3)"} <= failing
+
+
+def test_thm_3_7_fails_as_its_oracle_does(monkeypatch, corpus, folds):
+    """No structure here fails Thm 3.7, so the hypothesis is widened to
+    every proper P: the failures then render in the oracle's order."""
+    monkeypatch.setattr(theorems_module, "is_sq_primary", lambda p: True)
+    entry = next(e for e in _REGISTRY if e[0] == "Thm 3.7")
+    for structures in (corpus, folds):
+        got = run_theorem("Thm 3.7", structures)
+        want = _run(_Harness(structures), "Thm 3.7", entry[1], functools.partial(
+            _check_3_7_by_any, hypothesis=lambda p: True))
+        # thousands of failures: a bool, so that a mismatch is not diffed
+        same = got.render() == want.render()
+        assert got.failures and same
+
+
+def test_anchor_masks_are_the_quotient_sets(oracle_structures):
+    """<r>'s raw mask and the masks of P_r and A_r against generated_by and
+    quotient_sets, for every r and every proper P."""
+    pairs = 0
+    for structures in oracle_structures.values():
+        for ring in structures:
+            anchors = _anchors(ring)
+            assert [raw for raw, _ in anchors] == [
+                mask_of(generated_by(ring, r).raw) for r in ring.carrier]
+            for p in proper_hyperideals(ring):
+                p_rows, a_rows = _anchor_rows(ring, p.members)
+                for r, (_, key) in enumerate(anchors):
+                    pair = quotient_sets(ring, p, r)
+                    assert (p_rows[key], a_rows[key]) == (
+                        mask_of(pair.p_r), mask_of(pair.a_r))
+                    pairs += 1
+    assert pairs > 500
+
+
+def test_a_failing_table_needs_the_exact_p_r(oracle_structures):
+    """On the fold whose g does not commute, a row mask at (r, 1) is not
+    P_r, so the checker must read P_r off the rows of g there."""
+    ring, = oracle_structures["G^(3,3) without commutative g"]
+    assert not ring.validation.passed
+    one = ring.one
+    assert any(row_masks(ring, p.members)[(r, one)]
+               != mask_of(quotient_sets(ring, p, r).p_r)
+               for p in proper_hyperideals(ring) for r in ring.carrier)
 
 
 class TestImplicationMatrix:
